@@ -35,8 +35,9 @@ class StepStream:
     """Reusable per-step stream for hot loops.
 
     Equivalent to ``keyed_generator(seed, tag, step)`` at every step, but
-    reuses a single Philox instance and resets its counter, which is ~5x
-    cheaper than constructing a Generator per step.
+    reuses a single Philox instance and resets its whole state (counter,
+    buffered 64-bit words and the buffered 32-bit half-word) from a fresh-state
+    template, which is ~5x cheaper than constructing a Generator per step.
     """
 
     def __init__(self, seed: int, tag: int):
@@ -46,13 +47,12 @@ class StepStream:
             key=np.array([self.seed & _MASK, self.tag & _MASK], dtype=_U64)
         )
         self._gen = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state  # counter 0, nothing buffered
+        self._counter = self._fresh["state"]["counter"]
 
     def _seek(self, step: int) -> None:
-        state = self._bitgen.state
-        state["state"]["counter"][:] = 0
-        state["state"]["counter"][2] = int(step) & _MASK
-        state["buffer_pos"] = 4  # discard buffered words from the old counter
-        self._bitgen.state = state
+        self._counter[2] = int(step) & _MASK
+        self._bitgen.state = self._fresh
 
     def normal(self, step: int, size: int, scale: float = 1.0) -> np.ndarray:
         self._seek(step)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqmodes._streams import BATCH_TAG, NOISE_TAG, StepStream, keyed_generator
 from seqmodes.distribution import (
     Alphabet,
     conditional_operator,
@@ -60,6 +61,23 @@ class TestConfig:
                                  eps_max=1e-3, eps_min=1e-4)
         assert cfg.eps_max == pytest.approx(1e-3)
         assert cfg.eps_min == pytest.approx(1e-4)
+
+
+class TestStepStream:
+    def test_reused_stream_matches_fresh_draws(self):
+        # high just above 2**31 rejects about half of all 32-bit words, so an
+        # odd number of words (a leftover half-word) is near-certain per draw
+        high = 2**31 + 1
+        stream = StepStream(7, BATCH_TAG)
+        for step in range(1, 40):
+            fresh = keyed_generator(7, BATCH_TAG, step).integers(0, high, size=5)
+            np.testing.assert_array_equal(stream.integers(step, high, 5), fresh)
+
+    def test_out_of_order_steps(self):
+        stream = StepStream(3, NOISE_TAG)
+        for step in (5, 2, 5, 0, 9):
+            fresh = keyed_generator(3, NOISE_TAG, step).standard_normal(4)
+            np.testing.assert_array_equal(stream.normal(step, 4), fresh)
 
 
 class TestSgldStep:

@@ -59,6 +59,7 @@ from .sgld import (
     llc_estimate,
     estimator_difference_bound,
     run_chain,
+    run_chains,
     run_coupled_chains,
     sgld_step,
     volume_scaling_fit,

@@ -50,14 +50,8 @@ class StepStream:
         self._fresh = self._bitgen.state  # counter 0, nothing buffered
         self._counter = self._fresh["state"]["counter"]
 
-    def _seek(self, step: int) -> None:
+    def at(self, step: int) -> np.random.Generator:
+        """The stream's Generator, positioned as ``keyed_generator(seed, tag, step)``."""
         self._counter[2] = int(step) & _MASK
         self._bitgen.state = self._fresh
-
-    def normal(self, step: int, size: int, scale: float = 1.0) -> np.ndarray:
-        self._seek(step)
-        return self._gen.standard_normal(size) * scale
-
-    def integers(self, step: int, high: int, size: int) -> np.ndarray:
-        self._seek(step)
-        return self._gen.integers(0, high, size=size)
+        return self._gen

@@ -28,14 +28,16 @@ from .sgld import (
     ChainDivergedError,
     SGLDError,
     WindowViolationError,
+    as_target,
     bound_g_series,
     bound_mu,
     constant_schedule,
     coupled_bound_trial,
     llc_estimate,
     estimator_difference_bound,
-    run_chain,
-    run_coupled_chains,
+    run_chain,  # noqa: F401 -- kept in this namespace, where perfbench/tracing.py wraps it
+    run_chains,
+    run_coupled_chains,  # noqa: F401 -- likewise
 )
 from .truncation import (
     InfeasibleTruncationError,
@@ -304,14 +306,11 @@ def cmd_llc(args) -> int:
     dataset = sample_dataset(op.joint(), n, seed=seed)
     fit = fit_model(model, dataset)
     chains = int(config.get("chains", 8))
-    estimates = []
-    for c in range(chains):
-        cfg = _sgld_config_from(config, n, seed=seed + c)
-        trace = run_chain(model, dataset, fit.w, cfg)
-        est = llc_estimate(trace, model, dataset, fit.w, cfg)
-        estimates.append(est.lambda_hat)
-        if c == 0:
-            _write_trace_csv(out / "trace_chain0.csv", trace)
+    configs = [_sgld_config_from(config, n, seed=seed + c) for c in range(chains)]
+    traces = run_chains([as_target(model, dataset)] * chains, fit.w, configs)
+    estimates = [llc_estimate(trace, model, dataset, fit.w, cfg).lambda_hat
+                 for trace, cfg in zip(traces, configs)]
+    _write_trace_csv(out / "trace_chain0.csv", traces[0])
     write_json(out / "llc_estimate.json", {
         "lambda_hat_mean": float(np.mean(estimates)),
         "lambda_hat_per_chain": estimates,
@@ -360,13 +359,8 @@ def cmd_couple(args) -> int:
         for s in range(seeds)
     ]
     first = results[0]
-    # rebuild the first trial's coupled run to export its trace
-    dataset_q = sample_dataset(op.joint(), n, seed=base_seed)
-    dataset_chi = sample_dataset(eff.joint(), n, seed=base_seed + 1_000_003)
-    w_star = fit_model(model, dataset_q).w
-    coupled = run_coupled_chains(model, dataset_q, dataset_chi, w_star, cfg.with_seed(base_seed))
-    _write_trace_csv(out / "coupled_trace.csv", coupled.trace_true,
-                     deltas=coupled.deltas, g_series=first.g_series)
+    _write_trace_csv(out / "coupled_trace.csv", first.coupled.trace_true,
+                     deltas=first.deltas, g_series=first.g_series)
     summary = {
         "n_seeds": seeds,
         "window_pass": sum(r.window_ok for r in results),

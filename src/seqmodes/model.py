@@ -15,6 +15,7 @@ threshold calculator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,35 +63,67 @@ class SoftmaxModel:
         return self.rank * (self.n_x + self.n_y)
 
     # -- logits and probabilities ------------------------------------------
+    #
+    # The kernels below work on a (B, dim) stack of weights and do not check
+    # them; the single-w methods are their B = 1 case and check their input.
+    # Each row is reduced in the memory layout a lone row has, so a row of a
+    # stack gives the same bits as the same weights passed alone.
 
-    def _logits(self, w: np.ndarray) -> np.ndarray:
-        """Logit matrix Z[x, y]."""
+    def _check_weights(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.dim,):
             raise ModelError(f"weights must have shape ({self.dim},), got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ModelError("weights must be finite")
+        return w
+
+    def _logits(self, W: np.ndarray) -> np.ndarray:
+        """Logit stack Z[b, x, y]."""
+        count = W.shape[0]
         if self.parametrization == "full_table":
             if self.pinned:
-                z = np.zeros((self.n_x, self.n_y))
-                z[:, :-1] = w.reshape(self.n_x, self.n_y - 1)
+                z = np.zeros((count, self.n_x, self.n_y))
+                z[:, :, :-1] = W.reshape(count, self.n_x, self.n_y - 1)
                 return z
-            return w.reshape(self.n_x, self.n_y).copy()
-        a, b = self._factors(w)
-        return b @ a.T
+            return W.reshape(count, self.n_x, self.n_y)
+        a, b = self._factors(W)
+        return b @ a.transpose(0, 2, 1)
 
-    def _factors(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = self.rank
-        a = w[: self.n_y * r].reshape(self.n_y, r)
-        b = w[self.n_y * r :].reshape(self.n_x, r)
+    def _factors(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r, count = self.rank, W.shape[0]
+        a = W[:, : self.n_y * r].reshape(count, self.n_y, r)
+        b = W[:, self.n_y * r :].reshape(count, self.n_x, r)
         return a, b
+
+    def log_conditionals(self, W: np.ndarray) -> np.ndarray:
+        """log p(y|x, w_b) for each row of a (B, dim) stack, as (B, n_y, n_x)."""
+        z = self._logits(W)
+        z = z - z.max(axis=2, keepdims=True)
+        logz = np.log(np.exp(z).sum(axis=2, keepdims=True))
+        return (z - logz).transpose(0, 2, 1)
+
+    def weighted_grads(self, W: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+        """Σ_{x,y} c_b(x,y) ∇_w log p(y|x,w_b) for each row of a (B, dim) stack.
+
+        ``coeff`` is one matrix c[y,x] shared by every row or a (B, n_y, n_x)
+        stack of them.
+        """
+        p = np.exp(self.log_conditionals(W)).transpose(0, 2, 1)  # (B, n_x, n_y)
+        c = np.swapaxes(np.asarray(coeff, dtype=float), -1, -2)  # (..., n_x, n_y)
+        m = c - p * c.sum(axis=-1, keepdims=True)
+        count = W.shape[0]
+        if self.parametrization == "full_table":
+            if self.pinned:
+                return m[:, :, :-1].reshape(count, -1)
+            return m.reshape(count, -1)
+        a, b = self._factors(W)
+        da = m.transpose(0, 2, 1) @ b  # (B, n_y, r)
+        db = m @ a  # (B, n_x, r)
+        return np.concatenate([da.reshape(count, -1), db.reshape(count, -1)], axis=1)
 
     def log_conditional_matrix(self, w: np.ndarray) -> np.ndarray:
         """log p(y|x, w) as an (n_y, n_x) array."""
-        z = self._logits(w)
-        z = z - z.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return (z - logz).T
+        return self.log_conditionals(self._check_weights(w)[None])[0]
 
     def conditional_matrix(self, w: np.ndarray) -> np.ndarray:
         """p(y|x, w) as an (n_y, n_x) array; columns sum to 1."""
@@ -98,17 +131,7 @@ class SoftmaxModel:
 
     def weighted_grad(self, w: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """Σ_{x,y} c(x,y) ∇_w log p(y|x,w) for a coefficient matrix c[y,x]."""
-        p = self.conditional_matrix(w).T  # (n_x, n_y)
-        c = np.asarray(coeff, dtype=float).T  # (n_x, n_y)
-        m = c - p * c.sum(axis=1, keepdims=True)
-        if self.parametrization == "full_table":
-            if self.pinned:
-                return m[:, :-1].reshape(-1)
-            return m.reshape(-1)
-        a, b = self._factors(w)
-        da = m.T @ b  # (n_y, r)
-        db = m @ a  # (n_x, r)
-        return np.concatenate([da.reshape(-1), db.reshape(-1)])
+        return self.weighted_grads(self._check_weights(w)[None], coeff)[0]
 
 
 def log_prob(model: SoftmaxModel, x: int, y: int, w: np.ndarray) -> float:
@@ -206,14 +229,19 @@ def insensitivity_report(
 # Losses and datasets.
 # ---------------------------------------------------------------------------
 
+def population_losses(model: SoftmaxModel, joint: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """L(w_b) = −Σ_{x,y} q(x,y) log p(y|x,w_b) for each row of a (B, dim) stack."""
+    joint = np.asarray(joint, dtype=float)
+    support = joint > 0
+    logp = np.ascontiguousarray(model.log_conditionals(W)[:, support])  # (B, |support|)
+    losses = -np.sum(joint[support] * logp, axis=1)
+    losses[~np.all(np.isfinite(logp), axis=1)] = np.inf
+    return losses
+
+
 def population_loss(model: SoftmaxModel, joint: np.ndarray, w: np.ndarray) -> float:
     """L(w) = −Σ_{x,y} q(x,y) log p(y|x,w) for a joint q[y,x]."""
-    joint = np.asarray(joint, dtype=float)
-    logp = model.log_conditional_matrix(w)
-    support = joint > 0
-    if np.any(~np.isfinite(logp[support])):
-        return float("inf")
-    return float(-np.sum(joint[support] * logp[support]))
+    return float(population_losses(model, joint, model._check_weights(w)[None])[0])
 
 
 def grad_population_loss(model: SoftmaxModel, joint: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -222,12 +250,17 @@ def grad_population_loss(model: SoftmaxModel, joint: np.ndarray, w: np.ndarray) 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """(x, y) pairs as flat index arrays, with a cached count matrix."""
+    """(x, y) pairs as flat index arrays, with a cached count matrix.
+
+    ``cells`` holds each pair's flat cell index y·n_x + x into the row-major
+    (n_y, n_x) count matrix, so counting subsets is one ``np.bincount``.
+    """
 
     x_idx: np.ndarray
     y_idx: np.ndarray
     n_x: int
     n_y: int
+    cells: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -235,11 +268,12 @@ class Dataset:
         y = np.asarray(self.y_idx, dtype=np.int64)
         if x.shape != y.shape or x.ndim != 1:
             raise ModelError("x_idx and y_idx must be 1-d arrays of equal length")
-        counts = np.zeros((self.n_y, self.n_x))
-        np.add.at(counts, (y, x), 1.0)
+        if x.size and (x.min() < 0 or x.max() >= self.n_x or y.min() < 0 or y.max() >= self.n_y):
+            raise ModelError("x_idx and y_idx must index into (n_x, n_y)")
         object.__setattr__(self, "x_idx", x)
         object.__setattr__(self, "y_idx", y)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "cells", y * self.n_x + x)
+        object.__setattr__(self, "counts", self.subset_counts(slice(None)))
 
     def __len__(self) -> int:
         return self.x_idx.shape[0]
@@ -249,10 +283,14 @@ class Dataset:
             raise ModelError("empty dataset")
         return self.counts / len(self)
 
-    def subset_counts(self, indices: np.ndarray) -> np.ndarray:
-        counts = np.zeros((self.n_y, self.n_x))
-        np.add.at(counts, (self.y_idx[indices], self.x_idx[indices]), 1.0)
-        return counts
+    def subset_counts(self, indices) -> np.ndarray:
+        """Count matrix of the pairs at ``indices``; (B, m) indices give B of them."""
+        cells = self.cells[indices]
+        if cells.ndim == 2:  # offset each row into a block of its own
+            cells = cells + self.n_y * self.n_x * np.arange(cells.shape[0])[:, None]
+        shape = cells.shape[:-1] + (self.n_y, self.n_x)
+        counts = np.bincount(cells.ravel(), minlength=math.prod(shape))
+        return counts.reshape(shape).astype(float)
 
 
 def empirical_loss(model: SoftmaxModel, dataset: Dataset, w: np.ndarray) -> float:

@@ -1,10 +1,13 @@
 """SGLD sampling of the localized tempered posterior and LLC estimation.
 
 The update is w += (ε_t/2)[−βn ∇L_m(w) + γ(w* − w)] + η_t with η_t drawn per
-coordinate from N(0, ε_t). Noise and minibatch indices come from counter-based
-streams keyed by (seed, step), so two chains configured with the same seed
-share their randomness by construction; that is what makes the coupled-chain
-experiments meaningful.
+coordinate from N(0, ε_t). One engine, :func:`run_chains`, advances every
+chain: the rows of a (C, d) state array move in lockstep, one step at a time.
+Row c draws its noise and its minibatch indices from counter-based streams
+keyed by (seed_c, tag, step), so each row is reproducible on its own and two
+rows configured with the same seed share their randomness by construction.
+Coupled chains are exactly that: two rows that share a seed, each following
+the loss of its own dataset. Full-data losses are evaluated after the loop.
 
 Also here: the trajectory-divergence bound g(t, A) with its hyperparameter
 window, the estimator-difference bound, the volume-scaling oracle for the
@@ -23,10 +26,10 @@ from ._streams import BATCH_TAG, NOISE_TAG, REGION_TAG, VOLUME_TAG, StepStream, 
 from .model import (
     Dataset,
     SoftmaxModel,
-    empirical_loss,
     fit_model,
     insensitivity_report,
     lipschitz_estimates,
+    population_losses,
     sample_dataset,
 )
 
@@ -40,10 +43,11 @@ class WindowViolationError(SGLDError):
 
 
 class ChainDivergedError(SGLDError):
-    def __init__(self, message: str, step: int, last_state: np.ndarray):
+    def __init__(self, message: str, step: int, last_state: np.ndarray, row: int = 0):
         super().__init__(message)
         self.step = step
         self.last_state = last_state
+        self.row = row
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +136,8 @@ def paper_preset(n: int, epsilon: float = 1e-4, m: int | None = None, seed: int 
 
 
 # ---------------------------------------------------------------------------
-# Sampling targets: anything with a dataset size, a dimension, a full-data
-# loss, and a minibatch gradient.
+# Sampling targets: anything with a dataset size, a dimension, and batched
+# full-data losses and minibatch gradients over a (B, dim) stack of states.
 # ---------------------------------------------------------------------------
 
 class SoftmaxTarget:
@@ -148,15 +152,17 @@ class SoftmaxTarget:
         self.dim = model.dim
         self._joint = dataset.empirical_joint()
 
-    def loss(self, w: np.ndarray) -> float:
-        return empirical_loss(self.model, self.dataset, w)
+    def loss(self, W: np.ndarray) -> np.ndarray:
+        """L_n(w_b) for each row of W."""
+        return population_losses(self.model, self._joint, W)
 
-    def grad_minibatch(self, w: np.ndarray, indices: np.ndarray | None) -> np.ndarray:
-        if indices is None:
+    def grad(self, W: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+        """∇L_m(w_b) for each row of W on the minibatch idx[b] (all data if None)."""
+        if idx is None:
             coeff = self._joint
         else:
-            coeff = self.dataset.subset_counts(indices) / indices.shape[0]
-        return -self.model.weighted_grad(w, coeff)
+            coeff = self.dataset.subset_counts(idx) / idx.shape[1]
+        return -self.model.weighted_grads(W, coeff)
 
 
 class QuadraticTarget:
@@ -167,11 +173,11 @@ class QuadraticTarget:
         self.n = int(n)
         self.dim = self.curvature.shape[0]
 
-    def loss(self, w: np.ndarray) -> float:
-        return float(0.5 * np.sum(self.curvature * np.asarray(w) ** 2))
+    def loss(self, W: np.ndarray) -> np.ndarray:
+        return 0.5 * np.sum(self.curvature * np.asarray(W) ** 2, axis=-1)
 
-    def grad_minibatch(self, w: np.ndarray, indices) -> np.ndarray:
-        return self.curvature * np.asarray(w)
+    def grad(self, W: np.ndarray, idx) -> np.ndarray:
+        return self.curvature * W
 
 
 def as_target(model, dataset=None):
@@ -179,7 +185,7 @@ def as_target(model, dataset=None):
         if dataset is None:
             raise SGLDError("a dataset is required with a conditional model")
         return SoftmaxTarget(model, dataset)
-    for attr in ("loss", "grad_minibatch", "dim", "n"):
+    for attr in ("loss", "grad", "dim", "n"):
         if not hasattr(model, attr):
             raise SGLDError(f"target lacks required attribute {attr!r}")
     return model
@@ -198,7 +204,11 @@ def sgld_step(
     gamma: float,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """One update: w + (ε/2)[−βn·grad + γ(w* − w)] + noise."""
+    """One update: w + (ε/2)[−βn·grad + γ(w* − w)] + noise.
+
+    Broadcasts, so per-row hyperparameters of shape (C, 1) update a (C, d)
+    state array row by row.
+    """
     return w + 0.5 * epsilon * (-n_beta * grad + gamma * (w_star - w)) + noise
 
 
@@ -234,44 +244,105 @@ class ChainTrace:
         """Regenerate the minibatch index draw used by step t (1-based)."""
         if self.config.m >= self.config.n:
             return None
-        stream = StepStream(self.config.seed, BATCH_TAG)
-        return stream.integers(t, self.config.n, self.config.m)
+        rng = keyed_generator(self.config.seed, BATCH_TAG, t)
+        return rng.integers(0, self.config.n, size=self.config.m)
+
+
+LOSS_BLOCK = 1024  # states per batched loss evaluation after the loop
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, each through the 1-d ``np.linalg.norm``.
+
+    The 1-d norm reduces through BLAS ``dot``, whose rounding an axis-wise
+    norm does not reproduce; coupled deltas and norm-cap counts use it so
+    that they equal a per-step 1-d norm bit for bit.
+    """
+    return np.array([np.linalg.norm(v) for v in vectors])
+
+
+def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = None
+               ) -> list[ChainTrace]:
+    """Advance one chain per (target, config) row in lockstep; one trace per row.
+
+    All rows share the localization center w*, the start point ``init``
+    (default w*) and T, n and m. Row c takes its step-t noise and minibatch
+    indices from the (seed_c, tag, t) streams; rows with equal seeds draw them
+    once and share them. Each step evaluates one batched gradient per distinct
+    target; full-data losses are evaluated after the loop in blocks of at most
+    ``LOSS_BLOCK`` states.
+    """
+    targets, configs = list(targets), list(configs)
+    if not targets or len(configs) != len(targets):
+        raise SGLDError("run_chains needs one config per target and at least one row")
+    T, n, m = configs[0].T, configs[0].n, configs[0].m
+    for target, config in zip(targets, configs):
+        if (config.T, config.n, config.m) != (T, n, m):
+            raise SGLDError("chains run in lockstep must share T, n and m")
+        if target.n != config.n:
+            raise SGLDError(f"config.n = {config.n} does not match dataset size {target.n}")
+    w_star = np.asarray(w_star, dtype=float)
+    rows, d = len(targets), w_star.size
+    states = np.empty((rows, T, d))
+    states[:, 0] = w_star if init is None else np.asarray(init, dtype=float)
+
+    eps = np.array([config.epsilons for config in configs])  # (C, T)
+    sqrt_eps = np.sqrt(eps)
+    n_beta = np.array([[config.n_beta] for config in configs])
+    gamma = np.array([[config.gamma] for config in configs])
+    seeds, seed_of_row = np.unique([config.seed for config in configs], return_inverse=True)
+    noise = [StepStream(seed, NOISE_TAG) for seed in seeds]
+    batch = [StepStream(seed, BATCH_TAG) for seed in seeds]
+    draws = np.empty((seeds.size, d))
+    idx = None if m >= n else np.empty((seeds.size, m), dtype=np.int64)
+    by_target: dict[int, tuple[object, list[int]]] = {}
+    for c, target in enumerate(targets):
+        by_target.setdefault(id(target), (target, []))[1].append(c)
+    # (target, its rows, row count); a target that owns every row takes a view
+    groups = [(target, slice(None) if len(members) == rows else np.array(members), len(members))
+              for target, members in by_target.values()]
+
+    w = states[:, 0].copy()
+    grad = np.empty((rows, d))
+    for t in range(1, T):
+        for u in range(seeds.size):
+            noise[u].at(t).standard_normal(out=draws[u])
+            if idx is not None:
+                idx[u] = batch[u].at(t).integers(0, n, size=m)
+        row_idx = None if idx is None else idx[seed_of_row]
+        for target, members, _ in groups:
+            grad[members] = target.grad(w[members], None if row_idx is None else row_idx[members])
+        eta = draws[seed_of_row] * sqrt_eps[:, t, None]
+        w = sgld_step(w, grad, w_star, eps[:, t, None], n_beta, gamma, eta)
+        if not np.isfinite(w).all():
+            c = int(np.flatnonzero(~np.isfinite(w).all(axis=1))[0])
+            raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
+                                     t, states[c, t - 1].copy(), row=c)
+        states[:, t] = w
+
+    losses = np.empty((rows, T))
+    for target, members, count in groups:
+        block = max(1, LOSS_BLOCK // count)
+        for t0 in range(0, T, block):
+            chunk = states[members, t0:t0 + block]
+            losses[members, t0:t0 + block] = target.loss(chunk.reshape(-1, d)).reshape(count, -1)
+    traces = []
+    for c, config in enumerate(configs):
+        violations = 0
+        if config.weight_norm_cap is not None:
+            violations = int(np.count_nonzero(
+                _norms(states[c, 1:] - w_star) > config.weight_norm_cap))
+        traces.append(ChainTrace(
+            states=states[c], losses=losses[c], epsilons=np.asarray(config.epsilons).copy(),
+            config=config, w_star=w_star, norm_cap_violations=violations,
+        ))
+    return traces
 
 
 def run_chain(model, dataset, w_star: np.ndarray, config: SGLDConfig,
               init: np.ndarray | None = None) -> ChainTrace:
     """T-state chain started at ``init`` (default: the localization center)."""
-    target = as_target(model, dataset)
-    if target.n != config.n:
-        raise SGLDError(f"config.n = {config.n} does not match dataset size {target.n}")
-    w_star = np.asarray(w_star, dtype=float)
-    w = (w_star if init is None else np.asarray(init, dtype=float)).copy()
-    noise = StepStream(config.seed, NOISE_TAG)
-    batch = StepStream(config.seed, BATCH_TAG)
-    full_batch = config.m >= config.n
-    states = np.empty((config.T, w.size))
-    losses = np.empty(config.T)
-    states[0] = w
-    losses[0] = target.loss(w)
-    violations = 0
-    n_beta, gamma = config.n_beta, config.gamma
-    for t in range(1, config.T):
-        eps = float(config.epsilons[t])
-        idx = None if full_batch else batch.integers(t, config.n, config.m)
-        grad = target.grad_minibatch(w, idx)
-        eta = noise.normal(t, w.size, scale=np.sqrt(eps))
-        w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta)
-        if not np.all(np.isfinite(w)):
-            raise ChainDivergedError(f"non-finite state at step {t}", t, states[t - 1])
-        if config.weight_norm_cap is not None:
-            if np.linalg.norm(w - w_star) > config.weight_norm_cap:
-                violations += 1
-        states[t] = w
-        losses[t] = target.loss(w)
-    return ChainTrace(
-        states=states, losses=losses, epsilons=np.asarray(config.epsilons).copy(),
-        config=config, w_star=w_star, norm_cap_violations=violations,
-    )
+    return run_chains([as_target(model, dataset)], w_star, [config], init)[0]
 
 
 @dataclass(frozen=True)
@@ -293,7 +364,7 @@ def llc_estimate(trace: ChainTrace, model, dataset, w_star: np.ndarray,
     kept = trace.losses[start:]
     if kept.size == 0:
         raise SGLDError("burn-in removed the whole trace")
-    ref = target.loss(np.asarray(w_star, dtype=float))
+    ref = float(target.loss(np.asarray(w_star, dtype=float)[None, :])[0])
     mean_loss = float(kept.mean())
     return LLCEstimate(
         lambda_hat=float(config.n_beta * (mean_loss - ref)),
@@ -319,55 +390,16 @@ def run_coupled_chains(model, dataset_true: Dataset, dataset_truncated: Dataset,
 
     The first follows gradients of the loss on ``dataset_true``, the second on
     ``dataset_truncated``; both are localized at the same w* and start at the
-    same point.
+    same point. They are two rows of one :func:`run_chains` call that share
+    the config, hence the seed.
     """
     target_a = as_target(model, dataset_true)
     target_b = as_target(model, dataset_truncated)
     if target_a.n != target_b.n:
         raise SGLDError("coupled datasets must have matched sizes")
-    if target_a.n != config.n:
-        raise SGLDError(f"config.n = {config.n} does not match dataset size {target_a.n}")
-    w_star = np.asarray(w_star, dtype=float)
-    start = (w_star if init is None else np.asarray(init, dtype=float)).copy()
-    wa = start.copy()
-    wb = start.copy()
-    noise = StepStream(config.seed, NOISE_TAG)
-    batch = StepStream(config.seed, BATCH_TAG)
-    full_batch = config.m >= config.n
-    T, d = config.T, start.size
-    states_a = np.empty((T, d))
-    states_b = np.empty((T, d))
-    losses_a = np.empty(T)
-    losses_b = np.empty(T)
-    deltas = np.empty(T)
-    states_a[0], states_b[0] = wa, wb
-    losses_a[0], losses_b[0] = target_a.loss(wa), target_b.loss(wb)
-    deltas[0] = 0.0
-    n_beta, gamma = config.n_beta, config.gamma
-    viol_a = viol_b = 0
-    for t in range(1, T):
-        eps = float(config.epsilons[t])
-        idx = None if full_batch else batch.integers(t, config.n, config.m)
-        eta = noise.normal(t, d, scale=np.sqrt(eps))
-        wa = sgld_step(wa, target_a.grad_minibatch(wa, idx), w_star, eps, n_beta, gamma, eta)
-        wb = sgld_step(wb, target_b.grad_minibatch(wb, idx), w_star, eps, n_beta, gamma, eta)
-        if not (np.all(np.isfinite(wa)) and np.all(np.isfinite(wb))):
-            raise ChainDivergedError(f"non-finite state at step {t}", t, states_a[t - 1])
-        if config.weight_norm_cap is not None:
-            viol_a += np.linalg.norm(wa - w_star) > config.weight_norm_cap
-            viol_b += np.linalg.norm(wb - w_star) > config.weight_norm_cap
-        states_a[t], states_b[t] = wa, wb
-        losses_a[t] = target_a.loss(wa)
-        losses_b[t] = target_b.loss(wb)
-        deltas[t] = np.linalg.norm(wa - wb)
-    eps_copy = np.asarray(config.epsilons).copy()
-    return CoupledChains(
-        trace_true=ChainTrace(states=states_a, losses=losses_a, epsilons=eps_copy,
-                              config=config, w_star=w_star, norm_cap_violations=int(viol_a)),
-        trace_truncated=ChainTrace(states=states_b, losses=losses_b, epsilons=eps_copy,
-                                   config=config, w_star=w_star, norm_cap_violations=int(viol_b)),
-        deltas=deltas,
-    )
+    trace_a, trace_b = run_chains([target_a, target_b], w_star, [config, config], init)
+    return CoupledChains(trace_true=trace_a, trace_truncated=trace_b,
+                         deltas=_norms(trace_a.states - trace_b.states))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +540,7 @@ class CoupledTrialResult:
     region_radius: float
     window_ok: bool
     window_text: str
-    deltas: np.ndarray
+    coupled: CoupledChains
     g_series: np.ndarray | None
     delta_bound_ok: bool
     lambda_true: float
@@ -516,6 +548,10 @@ class CoupledTrialResult:
     lambda_diff: float
     estimator_bound: float | None
     llc_bound_ok: bool
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return self.coupled.deltas
 
     def to_summary(self) -> dict:
         return {
@@ -618,7 +654,7 @@ def coupled_bound_trial(
         region_radius=radius,
         window_ok=window_ok,
         window_text=window_text,
-        deltas=coupled.deltas,
+        coupled=coupled,
         g_series=g_series,
         delta_bound_ok=delta_ok,
         lambda_true=est_true.lambda_hat,

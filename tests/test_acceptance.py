@@ -41,10 +41,11 @@ from seqmodes.modes import (
 )
 from seqmodes.sgld import (
     QuadraticTarget,
+    SoftmaxTarget,
     constant_schedule,
     coupled_bound_trial,
     llc_estimate,
-    run_chain,
+    run_chains,
     volume_scaling_fit,
 )
 from seqmodes.truncation import (
@@ -213,12 +214,10 @@ def test_criterion_08_regular_model_llc():
     dataset = sample_dataset(op.joint(), n, seed=500)
     fit = fit_model(model, dataset)
     beta = 1.0 / np.log(n)
-    lams = []
-    for seed in range(8):
-        cfg = constant_schedule(n=n, beta=beta, gamma=1.0, m=2048, T=10_000,
-                                epsilon=5e-4, seed=seed)
-        trace = run_chain(model, dataset, fit.w, cfg)
-        lams.append(llc_estimate(trace, model, dataset, fit.w).lambda_hat)
+    configs = [constant_schedule(n=n, beta=beta, gamma=1.0, m=2048, T=10_000,
+                                 epsilon=5e-4, seed=seed) for seed in range(8)]
+    traces = run_chains([SoftmaxTarget(model, dataset)] * 8, fit.w, configs)
+    lams = [llc_estimate(trace, model, dataset, fit.w).lambda_hat for trace in traces]
     mean = float(np.mean(lams))
     elapsed = time.perf_counter() - t0
     ok = 0.75 <= mean <= 1.25 and elapsed < 300.0
@@ -230,12 +229,10 @@ def test_criterion_09_volume_oracle_agreement():
     n, nbeta, gamma = 1000, 1000.0, 100.0
     target = QuadraticTarget(np.array([1.0]), n=n)
     closed_form = 0.5 * nbeta / (nbeta + gamma)
-    lams = []
-    for seed in range(8):
-        cfg = constant_schedule(n=n, beta=nbeta / n, gamma=gamma, m=n, T=100_000,
-                                epsilon=2e-5, seed=seed)
-        trace = run_chain(target, None, np.zeros(1), cfg)
-        lams.append(llc_estimate(trace, target, None, np.zeros(1)).lambda_hat)
+    configs = [constant_schedule(n=n, beta=nbeta / n, gamma=gamma, m=n, T=100_000,
+                                 epsilon=2e-5, seed=seed) for seed in range(8)]
+    traces = run_chains([target] * 8, np.zeros(1), configs)
+    lams = [llc_estimate(trace, target, None, np.zeros(1)).lambda_hat for trace in traces]
     sgld_rel = abs(float(np.mean(lams)) - closed_form) / closed_form
 
     eps_grid = np.geomspace(1e-6, 1e-2, 17)

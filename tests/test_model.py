@@ -27,6 +27,7 @@ from seqmodes.model import (
     log_prob,
     phi_map,
     population_loss,
+    population_losses,
     sample_dataset,
 )
 
@@ -267,6 +268,38 @@ class TestDataset:
         ds = Dataset(x_idx=np.array([0, 1, 0]), y_idx=np.array([1, 0, 1]), n_x=2, n_y=2)
         sub = ds.subset_counts(np.array([0, 2]))
         np.testing.assert_array_equal(sub, [[0, 0], [2, 0]])
+        stacked = ds.subset_counts(np.array([[0, 2], [1, 1]]))
+        np.testing.assert_array_equal(stacked, [[[0, 0], [2, 0]], [[0, 2], [0, 0]]])
+
+    def test_indices_out_of_range(self):
+        with pytest.raises(ModelError):
+            Dataset(x_idx=np.array([0, 2]), y_idx=np.array([1, 0]), n_x=2, n_y=2)
+        with pytest.raises(ModelError):
+            Dataset(x_idx=np.array([0, 1]), y_idx=np.array([-1, 0]), n_x=2, n_y=2)
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("model", [
+        SoftmaxModel(k=1, l=1, alphabet_size=3),
+        SoftmaxModel(k=1, l=2, alphabet_size=2, pinned=False),
+        SoftmaxModel(k=2, l=1, alphabet_size=2, parametrization="low_rank", rank=2),
+    ])
+    def test_rows_match_single_calls_bitwise(self, model):
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal((6, model.dim))
+        coeffs = rng.random((6, model.n_y, model.n_x)) / 7.0
+        joint = rng.random((model.n_y, model.n_x))
+        joint[0, 0] = 0.0
+        joint /= joint.sum()
+        logp = model.log_conditionals(W)
+        grads = model.weighted_grads(W, coeffs)
+        shared = model.weighted_grads(W, joint)
+        losses = population_losses(model, joint, W)
+        for b, w in enumerate(W):
+            np.testing.assert_array_equal(logp[b], model.log_conditional_matrix(w))
+            np.testing.assert_array_equal(grads[b], model.weighted_grad(w, coeffs[b]))
+            np.testing.assert_array_equal(shared[b], model.weighted_grad(w, joint))
+            assert losses[b] == population_loss(model, joint, w)
 
 
 class TestFit:

@@ -8,7 +8,8 @@ from seqmodes.distribution import (
     random_doubly_stochastic_language,
     random_language,
 )
-from seqmodes.model import SoftmaxModel, fit_model, sample_dataset
+from seqmodes import sgld
+from seqmodes.model import SoftmaxModel, empirical_loss, fit_model, sample_dataset
 from seqmodes.modes import weighted_svd
 from seqmodes.sgld import (
     ChainDivergedError,
@@ -26,6 +27,7 @@ from seqmodes.sgld import (
     estimator_difference_bound,
     paper_preset,
     run_chain,
+    run_chains,
     run_coupled_chains,
     sgld_step,
     volume_scaling_fit,
@@ -71,13 +73,13 @@ class TestStepStream:
         stream = StepStream(7, BATCH_TAG)
         for step in range(1, 40):
             fresh = keyed_generator(7, BATCH_TAG, step).integers(0, high, size=5)
-            np.testing.assert_array_equal(stream.integers(step, high, 5), fresh)
+            np.testing.assert_array_equal(stream.at(step).integers(0, high, size=5), fresh)
 
     def test_out_of_order_steps(self):
         stream = StepStream(3, NOISE_TAG)
         for step in (5, 2, 5, 0, 9):
             fresh = keyed_generator(3, NOISE_TAG, step).standard_normal(4)
-            np.testing.assert_array_equal(stream.normal(step, 4), fresh)
+            np.testing.assert_array_equal(stream.at(step).standard_normal(4), fresh)
 
 
 class TestSgldStep:
@@ -150,11 +152,11 @@ class TestRunChain:
             n = 10
             dim = 1
 
-            def loss(self, w):
-                return float(w[0] ** 2)
+            def loss(self, W):
+                return W[:, 0] ** 2
 
-            def grad_minibatch(self, w, idx):
-                return -np.array([1e308]) * np.sign(w + 0.1)
+            def grad(self, W, idx):
+                return -np.array([1e308]) * np.sign(W + 0.1)
 
         cfg = constant_schedule(n=10, beta=1.0, gamma=1.0, m=10, T=10, epsilon=1.0)
         with np.errstate(over="ignore"):
@@ -182,14 +184,14 @@ class TestRunChain:
             n = 200
             dim = model.dim
 
-            def loss(self, w):
+            def loss(self, W):
                 from seqmodes.model import empirical_loss
 
-                return empirical_loss(model, permuted, w)
+                return np.array([empirical_loss(model, permuted, w) for w in W])
 
-            def grad_minibatch(self, w, idx):
-                sub = permuted.subset_counts(inverse[idx])
-                return -model.weighted_grad(w, sub / idx.shape[0])
+            def grad(self, W, idx):
+                subs = np.stack([permuted.subset_counts(inverse[i]) for i in idx])
+                return -model.weighted_grads(W, subs / idx.shape[1])
 
         trace2 = run_chain(Relabeled(), None, fit.w, cfg)
         np.testing.assert_allclose(trace.states, trace2.states, atol=1e-14)
@@ -202,6 +204,118 @@ class TestRunChain:
         b = trace.minibatch_indices(3)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (10,)
+
+
+def naive_chain(model, dataset, w_star, cfg):
+    """One chain, step by step, from fresh (seed, tag, t) generators and the single-w API."""
+    w = w_star.copy()
+    states = [w]
+    for t in range(1, cfg.T):
+        eps = cfg.epsilons[t]
+        if cfg.m >= cfg.n:
+            coeff = dataset.empirical_joint()
+        else:
+            idx = keyed_generator(cfg.seed, BATCH_TAG, t).integers(0, cfg.n, size=cfg.m)
+            coeff = dataset.subset_counts(idx) / cfg.m
+        grad = -model.weighted_grad(w, coeff)
+        eta = keyed_generator(cfg.seed, NOISE_TAG, t).standard_normal(w.size) * np.sqrt(eps)
+        w = w + 0.5 * eps * (-cfg.n_beta * grad + cfg.gamma * (w_star - w)) + eta
+        states.append(w)
+    losses = [empirical_loss(model, dataset, state) for state in states]
+    return np.array(states), np.array(losses)
+
+
+class TestRunChains:
+    def setup(self, parametrization, n=300):
+        lang = random_language(4, Alphabet(3), 2)
+        joint = conditional_operator(lang, 1, 1).joint()
+        model = SoftmaxModel(k=1, l=1, alphabet_size=3, parametrization=parametrization,
+                             rank=2 if parametrization == "low_rank" else None)
+        dataset = sample_dataset(joint, n, seed=1)
+        w_star = 0.3 * np.random.default_rng(2).standard_normal(model.dim)
+        return model, dataset, w_star
+
+    @pytest.mark.parametrize("parametrization", ["full_table", "low_rank"])
+    @pytest.mark.parametrize("m", [300, 32])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_naive_loop(self, parametrization, m, rows):
+        model, dataset, w_star = self.setup(parametrization)
+        configs = [constant_schedule(n=300, beta=0.05, gamma=2.0 + c, m=m, T=40,
+                                     epsilon=1e-3 * (c + 1), seed=20 + c) for c in range(rows)]
+        traces = run_chains([sgld.as_target(model, dataset)] * rows, w_star, configs)
+        assert len(traces) == rows
+        for trace, cfg in zip(traces, configs):
+            states, losses = naive_chain(model, dataset, w_star, cfg)
+            np.testing.assert_array_equal(trace.states, states)
+            np.testing.assert_array_equal(trace.losses, losses)
+
+    def test_loss_blocks_do_not_change_losses(self, monkeypatch):
+        model, dataset, w_star = self.setup("full_table")
+        configs = [constant_schedule(n=300, beta=0.05, gamma=2.0, m=32, T=50, epsilon=1e-3,
+                                     seed=c) for c in range(3)]
+        target = sgld.as_target(model, dataset)
+        whole = run_chains([target] * 3, w_star, configs)
+        monkeypatch.setattr(sgld, "LOSS_BLOCK", 7)
+        blocked = run_chains([target] * 3, w_star, configs)
+        for a, b in zip(whole, blocked):
+            np.testing.assert_array_equal(a.losses, b.losses)
+
+    def test_shared_seed_rows_reproduce_coupled_deltas(self):
+        model, ds_a, w_star = self.setup("full_table")
+        ds_b = sample_dataset(ds_a.empirical_joint(), 300, seed=9)
+        cfg = constant_schedule(n=300, beta=0.05, gamma=2.0, m=32, T=60, epsilon=1e-3, seed=4)
+        row_a, row_b = run_chains([sgld.as_target(model, ds_a), sgld.as_target(model, ds_b)],
+                                  w_star, [cfg, cfg])
+        coupled = run_coupled_chains(model, ds_a, ds_b, w_star, cfg)
+        deltas = np.array([np.linalg.norm(a - b) for a, b in zip(row_a.states, row_b.states)])
+        np.testing.assert_array_equal(coupled.deltas, deltas)
+        assert deltas[0] == 0.0 and deltas[1:].max() > 0
+        for row, dataset in ((row_a, ds_a), (row_b, ds_b)):
+            np.testing.assert_array_equal(row.states, naive_chain(model, dataset, w_star, cfg)[0])
+
+    def test_divergence_names_row_step_and_last_state(self):
+        class Unstable:
+            n = 10
+            dim = 1
+
+            def loss(self, W):
+                return W[:, 0] ** 2
+
+            def grad(self, W, idx):
+                return -1e3 * W
+
+        stable = QuadraticTarget(np.array([1.0]), n=10)
+        cfg = constant_schedule(n=10, beta=1.0, gamma=1.0, m=10, T=400, epsilon=1.0)
+        configs = [cfg.with_seed(s) for s in (0, 1, 2)]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ChainDivergedError) as many:
+                run_chains([stable, Unstable(), stable], np.zeros(1), configs)
+            with pytest.raises(ChainDivergedError) as alone:
+                run_chains([Unstable()], np.zeros(1), configs[1:2])
+        assert many.value.row == 1 and alone.value.row == 0
+        assert 1 < many.value.step == alone.value.step
+        assert f"chain 1 at step {many.value.step}" in str(many.value)
+        np.testing.assert_array_equal(many.value.last_state, alone.value.last_state)
+        assert np.all(np.isfinite(many.value.last_state))
+
+    def test_norm_cap_count(self):
+        model, dataset, w_star = self.setup("full_table")
+        configs = [constant_schedule(n=300, beta=0.05, gamma=2.0, m=32, T=80, epsilon=1e-3,
+                                     seed=c, weight_norm_cap=0.45) for c in range(3)]
+        traces = run_chains([sgld.as_target(model, dataset)] * 3, w_star, configs)
+        for trace, cfg in zip(traces, configs):
+            states, _ = naive_chain(model, dataset, w_star, cfg)
+            expected = sum(np.linalg.norm(w - w_star) > 0.45 for w in states[1:])
+            assert 0 < trace.norm_cap_violations == expected < cfg.T - 1
+
+    def test_lockstep_rows_must_share_length(self):
+        target = QuadraticTarget(np.array([1.0]), n=10)
+        short = constant_schedule(n=10, beta=1.0, gamma=1.0, m=10, T=5, epsilon=1e-3)
+        long = constant_schedule(n=10, beta=1.0, gamma=1.0, m=10, T=6, epsilon=1e-3)
+        with pytest.raises(SGLDError):
+            run_chains([target, target], np.zeros(1), [short, long])
+        with pytest.raises(SGLDError):
+            run_chains([], np.zeros(1), [])
 
 
 class TestLlcEstimate:

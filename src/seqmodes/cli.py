@@ -22,8 +22,8 @@ from .distribution import (
     conditional_operator,
     language_from_json,
 )
-from .model import SoftmaxModel, fit_model, sample_dataset
-from .modes import decomposition_summary, truncated_weighted_svd, weighted_svd
+from .model import ModelError, SoftmaxModel, fit_model, sample_dataset
+from .modes import ModeError, decomposition_summary, truncated_weighted_svd, weighted_svd
 from .sgld import (
     ChainDivergedError,
     SGLDError,
@@ -570,8 +570,8 @@ def main(argv=None) -> int:
                    {"error": str(exc), "diagnostics": diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (TruncationError, SGLDError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except (TruncationError, SGLDError, ModelError, ModeError, MemoryError) as exc:
+        print(f"input error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -3,13 +3,15 @@
 Softmax models over (context, continuation) pairs in two parametrizations:
 a full logit table (one pinned logit per context for identifiability, so the
 model is regular) and a low-rank factorization of the logit matrix. Gradients
-are hand-derived; a finite-difference oracle in the tests checks them.
+and Hessians are hand-derived; finite-difference oracles in the tests check
+them.
 
 The same module carries the function-space view of a model (its matrix of
 log-probabilities), the insensitivity constants of a model to the difference
 between two distributions, population and empirical losses, dataset sampling,
-full-batch fitting, empirical Lipschitz estimates, and the entropy-rate
-threshold calculator.
+full-batch fitting, the exact Hessian-norm and gradient-norm constants M and
+Q, and the entropy-rate threshold calculator. Constants over a set of points
+are evaluated on the (P, dim) stack of them at once.
 """
 
 from __future__ import annotations
@@ -158,44 +160,25 @@ def phi_map(model: SoftmaxModel, w: np.ndarray) -> np.ndarray:
 class InsensitivityReport:
     A: float
     B: float
-    evaluation_points: str
     per_point_A: np.ndarray
     per_point_B: np.ndarray
 
 
-def _check_joint_pair(q_joint: np.ndarray, qp_joint: np.ndarray, model: SoftmaxModel):
-    q_joint = np.asarray(q_joint, dtype=float)
-    qp_joint = np.asarray(qp_joint, dtype=float)
-    shape = (model.n_y, model.n_x)
-    if q_joint.shape != shape or qp_joint.shape != shape:
-        raise ModelError(f"joints must have shape {shape}")
-    return q_joint, qp_joint
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Norm of each row through the 1-d ``np.linalg.norm`` (BLAS ``dot``), whose
+    rounding an axis-wise norm does not reproduce: a row gets a lone vector's bits."""
+    return np.array([np.linalg.norm(v) for v in vectors])
 
 
-def insensitivity_A(
-    model: SoftmaxModel, q_joint: np.ndarray, qp_joint: np.ndarray, region_sample
-) -> float:
-    """max over the sample of ‖Σ_{x,y} (q(x,y) − q'(x,y)) ∇_w log p(y|x,w)‖₂."""
-    q_joint, qp_joint = _check_joint_pair(q_joint, qp_joint, model)
-    sample = list(region_sample)
-    if not sample:
-        raise ModelError("empty evaluation sample")
-    diff = q_joint - qp_joint
-    return max(float(np.linalg.norm(model.weighted_grad(w, diff))) for w in sample)
-
-
-def insensitivity_B(
-    model: SoftmaxModel, q_joint: np.ndarray, qp_joint: np.ndarray, region_sample
-) -> float:
-    """max over the sample of |Σ_{x,y} (q(x,y) − q'(x,y)) log p(y|x,w)|."""
-    q_joint, qp_joint = _check_joint_pair(q_joint, qp_joint, model)
-    sample = list(region_sample)
-    if not sample:
-        raise ModelError("empty evaluation sample")
-    diff = q_joint - qp_joint
-    return max(
-        abs(float(np.sum(diff * model.log_conditional_matrix(w)))) for w in sample
-    )
+def _region_stack(model: SoftmaxModel, region_sample) -> np.ndarray:
+    """Evaluation points as a checked (P, dim) stack."""
+    W = np.asarray(region_sample, dtype=float)
+    if W.ndim != 2 or W.shape[0] == 0 or W.shape[1] != model.dim:
+        raise ModelError(f"evaluation sample must be a nonempty (P, {model.dim}) stack, "
+                         f"got shape {W.shape}")
+    if not np.all(np.isfinite(W)):
+        raise ModelError("weights must be finite")
+    return W
 
 
 def insensitivity_report(
@@ -203,26 +186,31 @@ def insensitivity_report(
     q_joint: np.ndarray,
     qp_joint: np.ndarray,
     region_sample,
-    description: str = "",
 ) -> InsensitivityReport:
-    q_joint, qp_joint = _check_joint_pair(q_joint, qp_joint, model)
-    sample = list(region_sample)
-    if not sample:
-        raise ModelError("empty evaluation sample")
-    diff = q_joint - qp_joint
-    per_a = np.array(
-        [float(np.linalg.norm(model.weighted_grad(w, diff))) for w in sample]
-    )
-    per_b = np.array(
-        [abs(float(np.sum(diff * model.log_conditional_matrix(w)))) for w in sample]
-    )
-    return InsensitivityReport(
-        A=float(per_a.max()),
-        B=float(per_b.max()),
-        evaluation_points=description or f"{len(sample)} sampled points",
-        per_point_A=per_a,
-        per_point_B=per_b,
-    )
+    """Both constants below over the points of ``region_sample``, evaluated as one stack."""
+    shape = (model.n_y, model.n_x)
+    if np.shape(q_joint) != shape or np.shape(qp_joint) != shape:
+        raise ModelError(f"joints must have shape {shape}")
+    diff = np.asarray(q_joint, dtype=float) - np.asarray(qp_joint, dtype=float)
+    W = _region_stack(model, region_sample)
+    per_a = row_norms(model.weighted_grads(W, diff))
+    per_b = np.abs((diff * model.log_conditionals(W)).reshape(len(W), -1).sum(axis=1))
+    return InsensitivityReport(A=float(per_a.max()), B=float(per_b.max()),
+                               per_point_A=per_a, per_point_B=per_b)
+
+
+def insensitivity_A(
+    model: SoftmaxModel, q_joint: np.ndarray, qp_joint: np.ndarray, region_sample
+) -> float:
+    """max over the sample of ‖Σ_{x,y} (q(x,y) − q'(x,y)) ∇_w log p(y|x,w)‖₂."""
+    return insensitivity_report(model, q_joint, qp_joint, region_sample).A
+
+
+def insensitivity_B(
+    model: SoftmaxModel, q_joint: np.ndarray, qp_joint: np.ndarray, region_sample
+) -> float:
+    """max over the sample of |Σ_{x,y} (q(x,y) − q'(x,y)) log p(y|x,w)|."""
+    return insensitivity_report(model, q_joint, qp_joint, region_sample).B
 
 
 # ---------------------------------------------------------------------------
@@ -393,66 +381,82 @@ def fit_model(
 
 
 # ---------------------------------------------------------------------------
-# Empirical Lipschitz estimates.
+# Lipschitz constants.
 # ---------------------------------------------------------------------------
+
+HESSIAN_BLOCK = 1 << 22  # Hessian entries per batched eigvalsh call
+
+
+def _context_hessians(p: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """K_x = q̂(x)(diag p_x − p_x p_xᵀ) for a (..., n_x, n_y) stack of p(·|x)."""
+    return mass[:, None, None] * p[..., :, None] * (np.eye(p.shape[-1]) - p[..., None, :])
+
+
+def _low_rank_hessian(model: SoftmaxModel, w: np.ndarray, p: np.ndarray,
+                      mass: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Dense ∇²L at one low-rank point: Jᵀ K J plus the bilinear term of Z = B Aᵀ."""
+    n_x, n_y, r = model.n_x, model.n_y, model.rank
+    a, b = (f[0] for f in model._factors(w[None]))
+    K = _context_hessians(p, mass)  # (n_x, n_y, n_y)
+    grad_z = mass[:, None] * p - joint.T  # G[x,y] = ∂L/∂Z[x,y]
+    h_aa = np.einsum("xr,xyz,xs->yrzs", b, K, b).reshape(n_y * r, n_y * r)
+    h_bb = np.eye(n_x)[:, None, :, None] * np.einsum("yr,xyz,zs->xrs", a, K, a)[:, :, None]
+    h_ab = np.einsum("xr,xyz,zs->yrxs", b, K, a)
+    h_ab += np.einsum("rs,xy->yrxs", np.eye(r), grad_z)  # ∂²L/∂A[y,r]∂B[x,s] = δ_rs G[x,y]
+    h_ab = h_ab.reshape(n_y * r, n_x * r)
+    return np.block([[h_aa, h_ab], [h_ab.T, h_bb.reshape(n_x * r, n_x * r)]])
+
+
+def hessian_norms(model: SoftmaxModel, joint: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Exact ‖∇²L(w_b)‖₂ of L(w) = −Σ_{x,y} q(x,y) log p(y|x,w) for each row of W.
+
+    In the logits z_x it is block-diagonal, K_x = q̂(x)(diag p_x − p_x p_xᵀ), and
+    a full table's weights are its logits (pinned: less each block's last row
+    and column); a low-rank Hessian is built densely per point. The norm is the
+    largest |eigenvalue| from batched ``eigvalsh`` calls of ≤ ``HESSIAN_BLOCK`` entries.
+    """
+    joint = np.asarray(joint, dtype=float)
+    mass = joint.sum(axis=0)  # q̂(x)
+    low_rank = model.parametrization == "low_rank"
+    free = model.n_y - 1 if model.pinned else model.n_y  # unpinned logits per context
+    rows = max(1, HESSIAN_BLOCK // (model.dim**2 if low_rank else model.n_x * model.n_y**2))
+    norms = []
+    for start in range(0, W.shape[0], rows):
+        block = W[start:start + rows]
+        p = np.exp(model.log_conditionals(block)).transpose(0, 2, 1)  # (rows, n_x, n_y)
+        if low_rank:
+            H = np.stack([_low_rank_hessian(model, w, pw, mass, joint) for w, pw in zip(block, p)])
+        else:
+            H = _context_hessians(p, mass)[..., :free, :free]
+        norms.append(np.abs(np.linalg.eigvalsh(H)).reshape(len(block), -1).max(axis=1))
+    return np.concatenate(norms)
+
 
 @dataclass
 class LipschitzEstimates:
-    """Empirical estimates, not certified bounds: maxima over the sample."""
+    """Exact constants at each sampled point; their maxima are empirical, not certified."""
 
     M: float
     Q: float
     per_point_M: np.ndarray
     per_point_Q: np.ndarray
-    power_iterations_converged: bool
 
-
-def _hessian_spectral_norm(
-    grad_fn, w: np.ndarray, dim: int, fd_step: float = 1e-5,
-    max_iterations: int = 100, tol: float = 1e-9,
-) -> tuple[float, bool]:
-    """Power iteration on central-difference Hessian-vector products."""
-    v = np.ones(dim) + 1e-3 * np.arange(dim)  # fixed, never orthogonal by accident
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(max_iterations):
-        hv = (grad_fn(w + fd_step * v) - grad_fn(w - fd_step * v)) / (2 * fd_step)
-        new_value = float(np.linalg.norm(hv))
-        if new_value == 0.0:
-            return 0.0, True
-        v = hv / new_value
-        if abs(new_value - value) <= tol * max(new_value, 1.0):
-            return new_value, True
-        value = new_value
-    return value, False
+    @property
+    def power_iterations_converged(self) -> bool:
+        """Always True, since M is exact; perfbench/tracing.py reads it."""
+        return True
 
 
 def lipschitz_estimates(
-    model: SoftmaxModel, dataset: Dataset, region_sample, fd_step: float = 1e-5
+    model: SoftmaxModel, dataset: Dataset, region_sample
 ) -> LipschitzEstimates:
-    """M = max sampled Hessian spectral norm of L_n; Q = max sampled ‖∇L_n‖."""
-    sample = list(region_sample)
-    if not sample:
-        raise ModelError("empty evaluation sample")
+    """M = max Hessian spectral norm of L_n over the sample; Q = max ‖∇L_n‖."""
+    W = _region_stack(model, region_sample)
     joint = dataset.empirical_joint()
-
-    def grad_fn(w):
-        return -model.weighted_grad(w, joint)
-
-    per_m = np.empty(len(sample))
-    per_q = np.empty(len(sample))
-    all_converged = True
-    for i, w in enumerate(sample):
-        per_q[i] = float(np.linalg.norm(grad_fn(w)))
-        per_m[i], ok = _hessian_spectral_norm(grad_fn, np.asarray(w, float), model.dim, fd_step)
-        all_converged = all_converged and ok
-    return LipschitzEstimates(
-        M=float(per_m.max()),
-        Q=float(per_q.max()),
-        per_point_M=per_m,
-        per_point_Q=per_q,
-        power_iterations_converged=all_converged,
-    )
+    per_m = hessian_norms(model, joint, W)
+    per_q = row_norms(model.weighted_grads(W, joint))
+    return LipschitzEstimates(M=float(per_m.max()), Q=float(per_q.max()),
+                              per_point_M=per_m, per_point_Q=per_q)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .model import (
     insensitivity_report,
     lipschitz_estimates,
     population_losses,
+    row_norms,
     sample_dataset,
 )
 
@@ -251,16 +252,6 @@ class ChainTrace:
 LOSS_BLOCK = 1024  # states per batched loss evaluation after the loop
 
 
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, each through the 1-d ``np.linalg.norm``.
-
-    The 1-d norm reduces through BLAS ``dot``, whose rounding an axis-wise
-    norm does not reproduce; coupled deltas and norm-cap counts use it so
-    that they equal a per-step 1-d norm bit for bit.
-    """
-    return np.array([np.linalg.norm(v) for v in vectors])
-
-
 def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = None
                ) -> list[ChainTrace]:
     """Advance one chain per (target, config) row in lockstep; one trace per row.
@@ -331,7 +322,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         violations = 0
         if config.weight_norm_cap is not None:
             violations = int(np.count_nonzero(
-                _norms(states[c, 1:] - w_star) > config.weight_norm_cap))
+                row_norms(states[c, 1:] - w_star) > config.weight_norm_cap))
         traces.append(ChainTrace(
             states=states[c], losses=losses[c], epsilons=np.asarray(config.epsilons).copy(),
             config=config, w_star=w_star, norm_cap_violations=violations,
@@ -399,7 +390,7 @@ def run_coupled_chains(model, dataset_true: Dataset, dataset_truncated: Dataset,
         raise SGLDError("coupled datasets must have matched sizes")
     trace_a, trace_b = run_chains([target_a, target_b], w_star, [config, config], init)
     return CoupledChains(trace_true=trace_a, trace_truncated=trace_b,
-                         deltas=_norms(trace_a.states - trace_b.states))
+                         deltas=row_norms(trace_a.states - trace_b.states))
 
 
 # ---------------------------------------------------------------------------
@@ -580,29 +571,29 @@ def _ball_sample(rng: np.random.Generator, center: np.ndarray, radius: float, co
     return center[None, :] + direction * radii[:, None]
 
 
+REGION_POINTS = 160  # ball points in a coupled trial's evaluation set
+REGION_SCALE = 1.5  # ball radius over the larger chain excursion
+
+
 def coupled_bound_trial(
     model: SoftmaxModel,
     joint_true: np.ndarray,
     joint_truncated: np.ndarray,
     config: SGLDConfig,
     seed: int,
-    n_region: int = 160,
-    n_hessian: int = 24,
-    region_scale: float = 1.5,
-    refit_center_on_truncated: bool = False,
 ) -> CoupledTrialResult:
     """One seeded coupled run with constants measured on the visited region.
 
-    The evaluation set for the insensitivity and Lipschitz constants is a
-    seeded ball sample around w* (radius = region_scale × the larger chain
-    excursion) together with both chains' own states, which operationalizes
-    the supremum over a region known to contain the trajectories. Bounds are
-    only asserted when the hyperparameter window holds for the measured M̂.
+    The evaluation set is w*, a seeded ball sample of ``REGION_POINTS`` points
+    around w* (radius ``REGION_SCALE`` × the larger chain excursion) and both
+    chains' own states at a stride of T // 64, which operationalizes the
+    supremum over a region known to contain the trajectories. A, B, M and Q
+    are all maxima over that one set; M and Q are exact at each point. Bounds
+    are only asserted when the hyperparameter window holds for the measured M̂.
     """
     dataset_true = sample_dataset(joint_true, config.n, seed=seed)
     dataset_trunc = sample_dataset(joint_truncated, config.n, seed=seed + 1_000_003)
-    fit = fit_model(model, dataset_true if not refit_center_on_truncated else dataset_trunc)
-    w_star = fit.w
+    w_star = fit_model(model, dataset_true).w
     run_config = config.with_seed(seed)
     coupled = run_coupled_chains(model, dataset_true, dataset_trunc, w_star, run_config)
 
@@ -611,9 +602,9 @@ def coupled_bound_trial(
         coupled.trace_truncated.distances_to_center().max(),
         1e-6,
     )
-    radius = region_scale * float(excursion)
+    radius = REGION_SCALE * float(excursion)
     rng = keyed_generator(seed, REGION_TAG)
-    ball = _ball_sample(rng, w_star, radius, n_region)
+    ball = _ball_sample(rng, w_star, radius, REGION_POINTS)
     stride = max(1, config.T // 64)
     trail = np.vstack([
         coupled.trace_true.states[::stride],
@@ -621,14 +612,9 @@ def coupled_bound_trial(
     ])
     points = np.vstack([w_star[None, :], ball, trail])
 
-    emp_true = dataset_true.empirical_joint()
-    emp_trunc = dataset_trunc.empirical_joint()
-    report = insensitivity_report(
-        model, emp_true, emp_trunc, list(points),
-        description=f"ball({n_region}) + trajectories, radius {radius:.4g}",
-    )
-    hess_points = [points[i] for i in range(0, len(points), max(1, len(points) // n_hessian))]
-    lip = lipschitz_estimates(model, dataset_true, hess_points)
+    report = insensitivity_report(model, dataset_true.empirical_joint(),
+                                  dataset_trunc.empirical_joint(), points)
+    lip = lipschitz_estimates(model, dataset_true, points)
 
     window_ok, window_text = run_config.window_check(lip.M)
     g_series = None

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from _fixtures import sample_bigram_corpus
+from seqmodes import cli
 from seqmodes.cli import main
 from seqmodes.corpus import write_token_stream
 from seqmodes.distribution import (
@@ -11,6 +12,7 @@ from seqmodes.distribution import (
     random_doubly_stochastic_language,
     random_language,
 )
+from seqmodes.modes import ModeError
 
 
 @pytest.fixture()
@@ -184,6 +186,34 @@ class TestLlcAndCouple:
         report = json.loads((out / "coupled_report.json").read_text())
         assert report["delta_bound_pass"] == 2
         assert report["llc_bound_pass"] == 2
+
+
+class TestInputErrors:
+    def test_low_rank_without_rank_exit_2(self, fixture_language, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "language": str(fixture_language), "k": 1, "l": 1, "chi": 1,
+            "n": 500, "T": 20, "epsilon": 1e-3, "gamma": 2.5,
+            "parametrization": "low_rank",
+        }))
+        for command in ("llc", "couple"):
+            code = main([command, "--config", str(config), "--out", str(tmp_path / command)])
+            assert code == 2
+            assert "input error: low_rank requires a positive rank" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [ModeError("operator has no modes"),
+                                       MemoryError("Unable to allocate 11.9 GiB")],
+                             ids=["ModeError", "MemoryError"])
+    def test_decomposition_failure_exit_2(self, fixture_language, tmp_path, capsys,
+                                          monkeypatch, error):
+        def fail(op):
+            raise error
+
+        monkeypatch.setattr(cli, "weighted_svd", fail)
+        code = main(["decompose", "--language", str(fixture_language), "--k", "1",
+                     "--l", "1", "--out", str(tmp_path / "dec")])
+        assert code == 2
+        assert f"input error: {error}" in capsys.readouterr().err
 
 
 class TestBounds:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import seqmodes.model as model_module
 from seqmodes.distribution import (
     Alphabet,
     conditional_operator,
@@ -333,12 +334,17 @@ class TestFit:
 
 
 class TestLipschitz:
-    def test_full_table_hessian_bound(self):
+    @pytest.mark.parametrize("kwargs, curvature_cap", [
+        ({}, 0.25),  # pinned 2-outcome blocks: q(x) p (1-p) <= 1/4
+        ({"pinned": False}, 0.5),  # unpinned: 2 q(x) p (1-p) <= 1/2
+        ({"parametrization": "low_rank", "rank": 2}, None),
+    ], ids=["pinned", "unpinned", "low_rank"])
+    def test_full_table_hessian_bound(self, kwargs, curvature_cap):
         # dense Hessian oracle at small dimension
         lang = random_language(13, Alphabet(2), 2)
         joint = conditional_operator(lang, 1, 1).joint()
         ds = sample_dataset(joint, 2000, seed=7)
-        model = SoftmaxModel(k=1, l=1, alphabet_size=2)
+        model = SoftmaxModel(k=1, l=1, alphabet_size=2, **kwargs)
         rng = np.random.default_rng(8)
         pts = [rng.standard_normal(model.dim) * 0.5 for _ in range(3)]
         est = lipschitz_estimates(model, ds, pts)
@@ -355,21 +361,33 @@ class TestLipschitz:
 
         oracle = max(np.linalg.norm(dense_hessian(w), 2) for w in pts)
         assert est.M == pytest.approx(oracle, rel=1e-3)
-        # pinned 2-outcome blocks: curvature is q(x) p (1-p) <= 1/4 per block
-        assert est.M <= 0.25 + 1e-6
+        if curvature_cap is not None:
+            assert est.M <= curvature_cap + 1e-6
 
-    def test_quadratic_analytic(self):
-        # L = 0.5 ||w||^2 through a fake gradient: M = 1, Q = max ||w||
-        pts = [np.array([0.5, 0.5]), np.array([-2.0, 1.0])]
-
-        def grad_fn(w):
-            return w
-
-        from seqmodes.model import _hessian_spectral_norm
-
-        for w in pts:
-            m, ok = _hessian_spectral_norm(grad_fn, w, 2)
-            assert ok and m == pytest.approx(1.0, abs=1e-8)
+    def test_stacked_equals_single_points(self, monkeypatch):
+        lang = random_language(15, Alphabet(3), 2)
+        op = conditional_operator(lang, 1, 1)
+        q = op.joint()
+        qp = q * np.random.default_rng(2).uniform(0.5, 1.5, q.shape)
+        qp /= qp.sum()
+        ds = sample_dataset(q, 1000, seed=3)
+        for model in (SoftmaxModel(k=1, l=1, alphabet_size=3),
+                      SoftmaxModel(k=1, l=1, alphabet_size=3, parametrization="low_rank",
+                                   rank=2)):
+            pts = np.random.default_rng(4).standard_normal((5, model.dim))
+            rep = insensitivity_report(model, q, qp, pts)
+            est = lipschitz_estimates(model, ds, pts)
+            for i, w in enumerate(pts):
+                one_rep = insensitivity_report(model, q, qp, [w])
+                one_est = lipschitz_estimates(model, ds, [w])
+                assert rep.per_point_A[i] == one_rep.A
+                assert rep.per_point_B[i] == one_rep.B
+                assert est.per_point_M[i] == one_est.M
+                assert est.per_point_Q[i] == one_est.Q
+            # eigvalsh batches of one row each give the same norms
+            monkeypatch.setattr(model_module, "HESSIAN_BLOCK", 1)
+            assert np.array_equal(lipschitz_estimates(model, ds, pts).per_point_M, est.per_point_M)
+            monkeypatch.undo()
 
     def test_Q_is_max_gradient_norm(self):
         lang = random_language(14, Alphabet(2), 2)

@@ -469,8 +469,7 @@ class TestCoupledTrial:
         model = SoftmaxModel(k=1, l=1, alphabet_size=3)
         cfg = constant_schedule(n=4000, beta=10.0 / 4000, gamma=2.5, m=4000, T=120,
                                 epsilon=1e-3)
-        res = coupled_bound_trial(model, op.joint(), eff.joint(), cfg, seed=0,
-                                  n_region=48, n_hessian=8)
+        res = coupled_bound_trial(model, op.joint(), eff.joint(), cfg, seed=0)
         assert res.window_ok
         assert res.delta_bound_ok
         assert res.llc_bound_ok

@@ -66,7 +66,6 @@ from .sgld import (
 )
 from .truncation import (
     EffectiveDistribution,
-    TruncationSpec,
     multi_length_truncation,
     project_leq_chi,
     truncate_kl,

@@ -42,7 +42,6 @@ from .sgld import (
 from .truncation import (
     InfeasibleTruncationError,
     TruncationError,
-    TruncationSpec,
     project_leq_chi,
     reconstruct_matrix,
     truncate,
@@ -253,12 +252,7 @@ def cmd_truncate(args) -> int:
         write_json(out / "truncation_provenance.json",
                    {"chi": chi, "solver": solver, "normalized": False})
     else:
-        spec = TruncationSpec(
-            chi=chi, solver=solver,
-            tolerance=float(config.get("tolerance", 1e-9)),
-            max_iterations=int(config.get("max_iterations", 10000)),
-        )
-        eff = truncate(dec, spec)
+        eff = truncate(dec, chi, solver)
         _write_effective(out, eff)
         write_json(out / "truncation_provenance.json", dict(eff.provenance))
     print(f"wrote {out / 'effective.tsv'}")
@@ -347,8 +341,7 @@ def cmd_couple(args) -> int:
     op = _load_operator(config)
     dec = weighted_svd(op)
     chi = int(_require(config, "chi"))
-    spec = TruncationSpec(chi=chi, solver=config.get("solver", "kl"))
-    eff = truncate(dec, spec)
+    eff = truncate(dec, chi, config.get("solver", "kl"))
     model = _model_from(config, op.k, op.l, _full_table_size(op))
     n = int(config.get("n", 20000))
     seeds = int(config.get("n_seeds", 1))

@@ -234,10 +234,6 @@ class ChainTrace:
     def T(self) -> int:
         return self.states.shape[0]
 
-    @property
-    def noise_stream_id(self) -> tuple[int, int]:
-        return (self.config.seed, NOISE_TAG)
-
     def distances_to_center(self) -> np.ndarray:
         return np.linalg.norm(self.states - self.w_star[None, :], axis=1)
 

@@ -5,10 +5,12 @@ function space. Three routes from the subspace back to an actual conditional
 distribution are provided: the raw orthogonal projection (generally signed and
 unnormalized), the clip-and-normalize surrogate, and the KL-closest member of
 the subspace that is also a genuine conditional distribution. The latter is
-found by projected gradient descent with a Dykstra projection onto
-(subspace ∩ product-of-simplices) at every step; whether that intersection is
-non-empty at all is surfaced explicitly, because for most operators it is not
-unless the cutoff retains the direction of the square-root marginal.
+one convex solve in reduced coordinates: a least-squares check of the column
+sums, a phase-I barrier solve for a strictly positive start, and damped
+Newton on the cross-entropy (Boyd & Vandenberghe, *Convex Optimization*,
+ch. 10–11). Whether the feasible set is empty is decided by a certificate,
+because for most operators it is empty unless the cutoff retains the
+direction of the square-root marginal.
 """
 
 from __future__ import annotations
@@ -33,28 +35,18 @@ class TruncationError(ValueError):
 
 
 class InfeasibleTruncationError(TruncationError):
-    """Alternating projections could not reach the constraint intersection.
+    """No strictly positive conditional lies in the retained span at this cutoff.
 
-    Carries diagnostics; the feasible set is possibly empty for this cutoff.
+    ``diagnostics["certificate"]`` says why: ``"column_sums"`` (no member has
+    unit column sums; see ``column_sum_residual``), ``"phase_one"`` (every
+    such member has an entry below ``margin_upper_bound`` < 0), or ``None``
+    (the largest minimum entry is zero within tolerance: the set is not
+    certified empty, but it has no strictly positive point).
     """
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-@dataclass
-class TruncationSpec:
-    chi: int
-    solver: str = "kl"  # {"projection_only", "normalized", "kl"}
-    tolerance: float = 1e-9
-    max_iterations: int = 10000
-
-    def validate(self, n_modes: int) -> None:
-        if not 0 <= self.chi < n_modes:
-            raise TruncationError(f"chi must be in [0, {n_modes}), got {self.chi}")
-        if self.solver not in ("projection_only", "normalized", "kl"):
-            raise TruncationError(f"unknown solver {self.solver!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,13 +87,14 @@ class EffectiveDistribution:
         )
 
 
-def _allowed_mask(dec: ModeDecomposition, chi: int) -> np.ndarray:
-    mask = np.zeros((dec.n_modes, dec.n_left), dtype=bool)
-    alpha_top = min(chi, dec.n_modes - 1)
-    beta_top = min(chi, dec.n_plus - 1)
-    if beta_top >= 0:
-        mask[: alpha_top + 1, : beta_top + 1] = True
-    return mask
+def _retained(dec: ModeDecomposition, chi: int) -> tuple[int, int]:
+    """Numbers (a, b) of retained right and left indices: α < a, β < b."""
+    return min(chi, dec.n_modes - 1) + 1, min(chi, dec.n_plus - 1) + 1
+
+
+def _check_chi(dec: ModeDecomposition, chi: int) -> None:
+    if not 0 <= chi < dec.n_modes:
+        raise TruncationError(f"chi must be in [0, {dec.n_modes}), got {chi}")
 
 
 def project_leq_chi(dec: ModeDecomposition, f: np.ndarray, chi: int) -> np.ndarray:
@@ -109,9 +102,10 @@ def project_leq_chi(dec: ModeDecomposition, f: np.ndarray, chi: int) -> np.ndarr
 
     Retained indices: α ≤ chi over all modes, β ≤ chi over positive modes.
     """
-    coeffs = mode_coefficients(dec, f)
-    coeffs = np.where(_allowed_mask(dec, chi), coeffs, 0.0)
-    return coefficients_to_function(dec, coeffs)
+    a, b = _retained(dec, chi)
+    kept = np.zeros((dec.n_modes, dec.n_left))
+    kept[:a, :b] = mode_coefficients(dec, f)[:a, :b]
+    return coefficients_to_function(dec, kept)
 
 
 def subspace_distance(dec: ModeDecomposition, f: np.ndarray, chi: int) -> float:
@@ -130,64 +124,9 @@ def kl_conditional(
     return float(ratio.sum(axis=0) @ marginal)
 
 
-def _project_columns_to_simplex(f: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each column onto the probability simplex."""
-    n_y, n_x = f.shape
-    sorted_desc = -np.sort(-f, axis=0)
-    cumsum = np.cumsum(sorted_desc, axis=0) - 1.0
-    denom = np.arange(1, n_y + 1)[:, None]
-    candidate = sorted_desc - cumsum / denom
-    rho = n_y - 1 - np.argmax((candidate > 0)[::-1, :], axis=0)
-    theta = cumsum[rho, np.arange(n_x)] / (rho + 1.0)
-    return np.maximum(f - theta[None, :], 0.0)
-
-
-def _dykstra(
-    dec: ModeDecomposition,
-    chi: int,
-    start: np.ndarray,
-    tolerance: float,
-    max_iterations: int,
-) -> tuple[np.ndarray, dict]:
-    """Dykstra's alternating projections onto subspace ∩ simplices.
-
-    Both projections are taken in the weighted inner product; the per-column
-    scalar weights drop out of the simplex projection. Returns the final
-    simplex-feasible iterate and diagnostics; convergence means its distance
-    to the subspace fell below tolerance.
-    """
-    x = start.copy()
-    inc_subspace = np.zeros_like(x)
-    inc_simplex = np.zeros_like(x)
-    distance = float("inf")
-    stalled = False
-    it = 0
-    prev_distance = None
-    for it in range(1, max_iterations + 1):
-        y = project_leq_chi(dec, x + inc_subspace, chi)
-        inc_subspace = x + inc_subspace - y
-        x = _project_columns_to_simplex(y + inc_simplex)
-        inc_simplex = y + inc_simplex - x
-        distance = hs_norm(x - y, dec.marginal)
-        if distance < tolerance:
-            break
-        if prev_distance is not None and abs(prev_distance - distance) < tolerance * 1e-3:
-            stalled = True
-            break
-        prev_distance = distance
-    diagnostics = {
-        "iterations": it,
-        "subspace_distance": distance,
-        "stalled": stalled,
-        "converged": distance < tolerance,
-    }
-    return x, diagnostics
-
-
 def truncate_normalized(dec: ModeDecomposition, chi: int) -> EffectiveDistribution:
     """Clip the truncated reconstruction at zero and renormalize per column."""
-    if not 0 <= chi < dec.n_modes:
-        raise TruncationError(f"chi must be in [0, {dec.n_modes}), got {chi}")
+    _check_chi(dec, chi)
     raw = reconstruct_matrix(dec, chi=chi)
     clipped = np.maximum(raw, 0.0)
     sums = clipped.sum(axis=0)
@@ -215,112 +154,175 @@ def truncate_normalized(dec: ModeDecomposition, chi: int) -> EffectiveDistributi
     )
 
 
-def truncate_kl(
-    dec: ModeDecomposition, chi: int, spec: TruncationSpec | None = None
-) -> EffectiveDistribution:
+# Fixed numerical constants of the KL solve.
+_SUM_TOL = 1e-10  # largest column-sum residual a feasible span may leave
+_ZERO_TOL = 1e-12  # truth entries at or below this are zeros (SVD rounding)
+_RANK_TOL = 1e-12  # relative singular-value cut of the column-sum map
+_NEWTON_TOL = 1e-14  # half the squared Newton decrement that ends a centring
+_GAP_TOL = 1e-12  # barrier gap bound m/t that ends a continuation
+_GROWTH = 10.0  # factor on t between centrings
+_MAX_NEWTON = 100  # Newton steps one centring may take
+
+
+def _centre(A, b, c, w, u):
+    """Damped Newton for min c·u − Σ w log(b + A u) from a point with b + A u > 0.
+
+    Returns the minimiser, its slacks r = b + A u, the Newton steps taken and
+    the final Newton decrement √(gᵀH⁻¹g), which is the gradient's size in the
+    Hessian's dual norm. The slacks are carried along the steps rather than
+    recomputed, so entries near zero keep their relative accuracy.
+    """
+    steps, decrement = 0, 0.0
+    r = b + A @ u
+    while A.shape[1]:
+        grad = c - A.T @ (w / r)
+        du = np.linalg.solve((A.T * (w / r**2)) @ A, -grad)
+        decrement = float(np.sqrt(max(-grad @ du, 0.0)))
+        if decrement**2 / 2 <= _NEWTON_TOL or steps == _MAX_NEWTON:
+            break
+        dr = A @ du
+        shrink = dr < 0
+        alpha = min(1.0, 0.99 * np.min(-r[shrink] / dr[shrink])) if shrink.any() else 1.0
+        value, slope = c @ u - w @ np.log(r), 0.25 * decrement**2
+        while c @ (u + alpha * du) - w @ np.log(r + alpha * dr) > value - alpha * slope:
+            alpha *= 0.5
+            if alpha < 1e-12:  # no descent left above rounding
+                return u, r, steps, decrement
+        u, r = u + alpha * du, r + alpha * dr
+        steps += 1
+    return u, r, steps, decrement
+
+
+def _phase_one(A: np.ndarray, F: np.ndarray, chi: int) -> tuple[np.ndarray, int]:
+    """A strictly positive F + A z and the Newton steps spent finding it.
+
+    Maximises s subject to F + A z ≥ s by barrier continuation. At the centre
+    for barrier weight 1/t the largest achievable s is at most s + m/t, so a
+    negative bound at a converged centre certifies that no F + A z is
+    nonnegative.
+    """
+    m = F.size
+    A1 = np.hstack([A, -np.ones((m, 1))])
+    c = np.append(np.zeros(A.shape[1]), -1.0)
+    u = np.append(np.zeros(A.shape[1]), F.min() - 1.0)
+    steps, t = 0, float(m)
+    while True:
+        u, slack, taken, decrement = _centre(A1, F, c, np.full(m, 1.0 / t), u)
+        steps += taken
+        margin, bound = float(u[-1]), float(u[-1] + m / t)
+        if margin > 0:
+            return slack + margin, steps
+        diagnostics = {"certificate": "phase_one", "chi": chi, "margin": margin,
+                       "margin_upper_bound": bound, "iterations": steps}
+        if bound < 0 and decrement**2 / 2 <= _NEWTON_TOL:
+            raise InfeasibleTruncationError(
+                f"the feasible set for chi={chi} is certified empty: every member of the "
+                f"retained span with unit column sums has an entry below {bound:.3e}",
+                diagnostics=diagnostics,
+            )
+        if m / t < _GAP_TOL:
+            raise InfeasibleTruncationError(
+                f"the feasible set for chi={chi} has no strictly positive point: "
+                f"the largest minimum entry lies in [{margin:.3e}, {bound:.3e}]",
+                diagnostics={**diagnostics, "certificate": None},
+            )
+        t *= _GROWTH
+
+
+def _newton_kl(dec: ModeDecomposition, chi: int, truth: np.ndarray):
+    """The KL solve below full retention: (conditional, Newton steps, KKT residual, converged).
+
+    The retained span is F = U_b G V_aᵀ D^{-1/2}. One SVD of the column-sum map
+    on G gives a particular solution g₀ and a null-space basis N, so every
+    member with unit column sums is F₀ + A z with F₀ = E g₀ and A = E N.
+    """
+    a, b = _retained(dec, chi)
+    vhat = dec.vhat_matrix()[:, :a]
+    left = dec.left_vectors[:, :b]
+    E = np.kron(left, vhat)  # vec F = E g with g = vec G, G[β, α]
+    sums = np.kron(left.sum(axis=0)[None, :], vhat)  # column sums of F as a map of g
+    P, sig, Qt = np.linalg.svd(sums)
+    rank = int(np.sum(sig > _RANK_TOL * sig[0])) if sig.size and sig[0] > 0 else 0
+    g0 = Qt[:rank].T @ ((P[:, :rank].T @ np.ones(dec.n_modes)) / sig[:rank])
+    residual = float(np.max(np.abs(sums @ g0 - 1.0)))
+    if residual > _SUM_TOL:
+        raise InfeasibleTruncationError(
+            f"the feasible set for chi={chi} is certified empty: no member of the "
+            f"retained span has unit column sums (residual {residual:.3e})",
+            diagnostics={"certificate": "column_sums", "chi": chi,
+                         "column_sum_residual": residual},
+        )
+    N = Qt[rank:].T
+    A = E @ N
+
+    # Start from the member of the affine set nearest the truth.
+    g_truth = mode_coefficients(dec, truth)[:a, :b].T.ravel()
+    F = E @ (g0 + N @ (N.T @ (g_truth - g0)))
+    iterations = 0
+    if F.min() <= 0:
+        F, iterations = _phase_one(A, F, chi)
+
+    # Phase II, re-based at the current F before each centring so that
+    # entries near zero keep their relative accuracy.
+    support = (truth > _ZERO_TOL).ravel()
+    weight = np.where(support, (truth * dec.marginal[None, :]).ravel(), 0.0)
+    zeros = int(np.sum(~support))
+    t, decrement, gap = float(max(zeros, 1)), 0.0, 0.0
+    while A.shape[1]:  # with no free direction F is the only feasible point
+        origin = np.zeros(A.shape[1])
+        _, F, taken, decrement = _centre(A, F, origin, weight + ~support / t, origin)
+        iterations += taken
+        gap = zeros / t
+        if gap < _GAP_TOL:
+            break
+        t *= _GROWTH
+    converged = decrement**2 / 2 <= _NEWTON_TOL
+    return F.reshape(truth.shape), iterations, max(decrement, gap), converged
+
+
+def truncate_kl(dec: ModeDecomposition, chi: int) -> EffectiveDistribution:
     """KL-closest conditional distribution whose representative lies in the subspace.
 
-    Projected gradient descent on the conditional entries with a Dykstra
-    projection per step; raises :class:`InfeasibleTruncationError` when the
-    feasibility phase cannot reach the intersection.
+    Phase I (:func:`_phase_one`) finds a strictly positive start or certifies
+    the feasible set empty; phase II is damped Newton on the cross-entropy
+    −Σ q(x) truth(y|x) log F(y|x), with a log barrier under continuation on
+    the truth's zeros. Raises :class:`InfeasibleTruncationError` with the
+    certificate in its diagnostics. ``kkt_residual`` in the provenance is the
+    larger of the final Newton decrement and the barrier's duality-gap bound.
     """
     chi = int(chi)
-    if spec is None:
-        spec = TruncationSpec(chi=chi)
-    spec = TruncationSpec(
-        chi=chi, solver="kl", tolerance=spec.tolerance, max_iterations=spec.max_iterations
-    )
-    spec.validate(dec.n_modes)
+    _check_chi(dec, chi)
     truth = reconstruct_matrix(dec)
-    q = dec.marginal
-
     if chi >= dec.n_modes - 1:
         # Every mode retained: the truth itself is the unique minimizer.
-        return EffectiveDistribution(
-            k=dec.k, l=dec.l,
-            conditional=np.clip(truth, 0.0, None) / np.clip(truth, 0.0, None).sum(axis=0),
-            marginal=q.copy(),
-            x_labels=dec.x_labels, y_labels=dec.y_labels,
-            provenance={
-                "chi": chi, "solver": "kl", "kl_divergence": 0.0,
-                "iterations": 0, "subspace_distance": 0.0, "feasible": True,
-                "converged": True,
-            },
-        )
-
-    feas_tol = max(spec.tolerance, 1e-11)
-    p, feas = _dykstra(dec, chi, truth, feas_tol, spec.max_iterations)
-    if not feas["converged"]:
-        raise InfeasibleTruncationError(
-            "alternating projections did not reach the constraint intersection; "
-            f"the feasible set for chi={chi} is possibly empty "
-            f"(subspace distance stalled at {feas['subspace_distance']:.3e})",
-            diagnostics=feas,
-        )
-
-    support = truth > 0
-
-    def objective(cand: np.ndarray) -> float:
-        if np.any(cand[support] <= 0):
-            return float("inf")
-        val = -np.sum((truth[support] * np.log(cand[support])) * np.broadcast_to(q, truth.shape)[support])
-        return float(val)
-
-    current = objective(p)
-    step = 1.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, spec.max_iterations + 1):
-        # Metric gradient of the cross-entropy part; the denominator is clamped
-        # so boundary iterates get a finite, inward-pointing direction.
-        grad = np.zeros_like(p)
-        np.divide(truth, np.maximum(p, 1e-9), out=grad, where=support)
-        grad = -grad
-        improved = False
-        while step > 1e-14:
-            cand, _ = _dykstra(dec, chi, p - step * grad, feas_tol, 500)
-            value = objective(cand)
-            move = hs_norm(cand - p, q)
-            if value < current - 1e-4 * move**2 / max(step, 1e-14) or (
-                value < current and move < feas_tol
-            ):
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-        gain = current - value
-        p, current = cand, value
-        step = min(step * 1.5, 1e3)
-        if gain < spec.tolerance:
-            converged = True
-            break
-
-    kl = kl_conditional(truth, p, q)
-    dist = subspace_distance(dec, p, chi)
+        clipped = np.clip(truth, 0.0, None)
+        cond, iterations, kkt, converged = clipped / clipped.sum(axis=0), 0, 0.0, True
+        kl, distance = 0.0, 0.0
+    else:
+        cond, iterations, kkt, converged = _newton_kl(dec, chi, truth)
+        kl, distance = kl_conditional(truth, cond, dec.marginal), subspace_distance(dec, cond, chi)
     return EffectiveDistribution(
-        k=dec.k, l=dec.l,
-        conditional=p,
-        marginal=q.copy(),
+        k=dec.k, l=dec.l, conditional=cond, marginal=dec.marginal.copy(),
         x_labels=dec.x_labels, y_labels=dec.y_labels,
         provenance={
-            "chi": chi, "solver": "kl", "kl_divergence": kl,
-            "iterations": iterations, "subspace_distance": dist,
-            "feasible": True, "converged": converged and dist < feas_tol * 10,
+            "chi": chi, "solver": "kl", "kl_divergence": kl, "iterations": iterations,
+            "subspace_distance": distance, "feasible": True, "converged": converged,
+            "kkt_residual": kkt,
         },
     )
 
 
-def truncate(dec: ModeDecomposition, spec: TruncationSpec) -> EffectiveDistribution:
-    spec.validate(dec.n_modes)
-    if spec.solver == "normalized":
-        return truncate_normalized(dec, spec.chi)
-    if spec.solver == "kl":
-        return truncate_kl(dec, spec.chi, spec)
-    raise TruncationError(
-        "projection_only does not yield a distribution; use project_leq_chi"
-    )
+def truncate(dec: ModeDecomposition, chi: int, solver: str = "kl") -> EffectiveDistribution:
+    """Effective distribution at cutoff ``chi`` by the ``"kl"`` or ``"normalized"`` route."""
+    chi = int(chi)
+    _check_chi(dec, chi)
+    if solver == "normalized":
+        return truncate_normalized(dec, chi)
+    if solver == "kl":
+        return truncate_kl(dec, chi)
+    if solver == "projection_only":
+        raise TruncationError("projection_only does not yield a distribution; use project_leq_chi")
+    raise TruncationError(f"unknown solver {solver!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,6 @@ def multi_length_truncation(
     pairs: list[tuple[int, int]],
     chis: list[int],
     solver: str = "kl",
-    spec_template: TruncationSpec | None = None,
     constants: list[float] | None = None,
 ) -> CompositeTruncation:
     """Composite distribution Π_i q^(χ_i)(·|·) · q(base) over Σ^K.
@@ -382,13 +383,7 @@ def multi_length_truncation(
         op = conditional_operator(lang, k_i, l_i)
         dec = weighted_svd(op)
         chi_eff = dec.n_modes - 1 if chi in (-1, dec.n_modes - 1) else int(chi)
-        spec = TruncationSpec(
-            chi=chi_eff,
-            solver=solver,
-            tolerance=spec_template.tolerance if spec_template else 1e-9,
-            max_iterations=spec_template.max_iterations if spec_template else 10000,
-        )
-        levels.append(truncate(dec, spec))
+        levels.append(truncate(dec, chi_eff, solver))
 
     k_base = pairs[-1][0]
     joint_flat = fundamental_tensor(lang, k_base).reshape(-1)

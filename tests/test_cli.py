@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,7 +136,8 @@ class TestTruncate:
                      "--chi", "0", "--solver", "kl", "--out", str(out)])
         assert code == 4
         diag = json.loads((out / "numerical_failure.json").read_text())
-        assert "possibly empty" in diag["error"]
+        assert "certified empty" in diag["error"]
+        assert diag["diagnostics"]["certificate"] == "column_sums"
 
     def test_projection_only(self, fixture_language, tmp_path):
         out = tmp_path / "tr"
@@ -294,3 +298,13 @@ class TestPipelineDeterminism:
             if name.endswith("resolved_config.json"):
                 continue  # contains the differing --out path by design
             assert run1[name] == run2[name], name
+
+
+class TestImportFootprint:
+    def test_cli_does_not_import_scipy_optimize(self):
+        # Importing scipy.optimize takes ~0.25 s, which every CLI start would pay.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, seqmodes.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
+from scipy.optimize import linprog, minimize
 
+from _fixtures import k3_language_with_balanced_front
 from seqmodes.distribution import (
     Alphabet,
     Language,
@@ -9,15 +12,22 @@ from seqmodes.distribution import (
     random_doubly_stochastic_language,
     random_language,
 )
-from seqmodes.modes import hs_inner, hs_norm, mode_coefficients, weighted_svd
+from seqmodes.modes import (
+    ModeDecomposition,
+    hs_inner,
+    hs_norm,
+    mode_coefficients,
+    reconstruct_matrix,
+    weighted_svd,
+)
 from seqmodes.truncation import (
     InfeasibleTruncationError,
     TruncationError,
-    TruncationSpec,
     kl_conditional,
     multi_length_truncation,
     project_leq_chi,
     subspace_distance,
+    truncate,
     truncate_kl,
     truncate_normalized,
     validate_decomposition_chain,
@@ -120,8 +130,10 @@ class TestTruncateKl:
         lang = random_language(6, Alphabet(3), 2)
         dec = weighted_svd(conditional_operator(lang, 1, 1))
         with pytest.raises(InfeasibleTruncationError) as err:
-            truncate_kl(dec, 0, TruncationSpec(chi=0, max_iterations=2000))
-        assert "possibly empty" in str(err.value)
+            truncate_kl(dec, 0)
+        assert "certified empty" in str(err.value)
+        assert err.value.diagnostics["certificate"] == "column_sums"
+        assert err.value.diagnostics["column_sum_residual"] > 1e-3
 
     def test_doubly_stochastic_feasible_all_cutoffs(self):
         lang = random_doubly_stochastic_language(0, 3)
@@ -168,6 +180,150 @@ class TestTruncateKl:
         assert np.max(np.abs(disallowed)) < 1e-7
 
 
+def planted_zero_language():
+    """Doubly stochastic 5-symbol bigram whose conditional has two zeros per column."""
+    shift = np.roll(np.eye(5), 1, axis=1)
+    cond = 0.5 * np.eye(5) + 0.3 * shift + 0.2 * shift @ shift
+    return Language(alphabet=Alphabet(5), K=2, joint=cond / 5)
+
+
+def hand_decomposition(top_left):
+    """3×3 decomposition: uniform marginal, constant top right vector, the given top left one.
+
+    At chi = 0 its only unit-column-sum member is top_left / Σ top_left in every column.
+    """
+    def basis(first):
+        q, _ = np.linalg.qr(np.column_stack([first, np.eye(3)[:, :2]]))
+        return q * np.sign(q[:, 0] @ first)
+
+    labels = ((0,), (1,), (2,))
+    return ModeDecomposition(
+        k=1, l=1, singular_values=np.array([1.0, 0.5, 0.25]),
+        left_vectors=basis(np.asarray(top_left, dtype=float)), right_vectors=basis(np.ones(3)),
+        marginal=np.full(3, 1 / 3), rank_tol=1e-12, n_plus=3, x_labels=labels, y_labels=labels,
+    )
+
+
+def dec_11(lang):
+    return weighted_svd(conditional_operator(lang, 1, 1))
+
+
+class TestCertifiedSolve:
+    def test_finite_where_support_was_lost(self):
+        eff = truncate_kl(dec_11(random_doubly_stochastic_language(3, 12)), 6)
+        assert np.isfinite(eff.provenance["kl_divergence"])
+        assert np.all(eff.conditional > 0)
+        assert eff.provenance["converged"]
+
+    def test_feasible_cutoff_not_refused(self):
+        eff = truncate_kl(dec_11(random_doubly_stochastic_language(2, 12)), 1)
+        assert eff.provenance["feasible"]
+        assert eff.provenance["subspace_distance"] < 1e-8
+
+    @pytest.mark.parametrize("chi", [2, 3])
+    def test_planted_zeros_finite(self, chi):
+        eff = truncate_kl(dec_11(planted_zero_language()), chi)
+        assert np.isfinite(eff.provenance["kl_divergence"])
+        assert eff.provenance["converged"]
+        assert eff.provenance["kkt_residual"] < 1e-6
+        np.testing.assert_allclose(eff.conditional.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_phase_one_certificate(self):
+        with pytest.raises(InfeasibleTruncationError) as err:
+            truncate_kl(hand_decomposition([2.0, -1.0, 0.0]), 0)
+        assert "certified empty" in str(err.value)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["certificate"] == "phase_one"
+        assert diagnostics["margin"] <= diagnostics["margin_upper_bound"] < 0
+
+    def test_truncate_validates_chi_and_solver(self):
+        dec = dec_11(random_doubly_stochastic_language(0, 3))
+        for chi, solver, message in [(3, "kl", "chi must be"), (-1, "normalized", "chi must be"),
+                                     (1, "dykstra", "unknown solver"),
+                                     (1, "projection_only", "use project_leq_chi")]:
+            with pytest.raises(TruncationError, match=message):
+                truncate(dec, chi, solver)
+        assert truncate(dec, 1).provenance == truncate_kl(dec, 1).provenance
+
+    def test_zero_margin_is_not_certified(self):
+        with pytest.raises(InfeasibleTruncationError) as err:
+            truncate_kl(hand_decomposition([1.0, 0.0, 0.0]), 0)
+        assert "no strictly positive point" in str(err.value)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["certificate"] is None
+        assert diagnostics["margin"] <= 0 <= diagnostics["margin_upper_bound"] < 1e-9
+
+
+def span_basis(dec, chi):
+    """Orthonormal basis (flattened F) of the retained span, from project_leq_chi alone."""
+    units = np.eye(dec.n_left * dec.n_modes).reshape(-1, dec.n_left, dec.n_modes)
+    images = np.stack([project_leq_chi(dec, e, chi).ravel() for e in units], axis=1)
+    u, s, _ = np.linalg.svd(images)
+    return u[:, : int(np.sum(s > 1e-9))]
+
+
+def column_sum_map(dec, basis):
+    return np.kron(np.ones((1, dec.n_left)), np.eye(dec.n_modes)) @ basis
+
+
+class TestOracles:
+    """Independent checks of the KL solve by scipy.optimize (tests only)."""
+
+    def panel(self):
+        for seed in range(3):
+            for size in (3, 4):
+                yield random_language(seed, Alphabet(size), 2)
+        for seed in range(2):
+            yield random_doubly_stochastic_language(seed, 4)
+        yield planted_zero_language()
+
+    def test_feasibility_matches_lp(self):
+        for lang in self.panel():
+            dec = dec_11(lang)
+            for chi in range(dec.n_modes):
+                basis = span_basis(dec, chi)
+                lp = linprog(np.zeros(basis.shape[1]), A_ub=-basis, b_ub=np.zeros(len(basis)),
+                             A_eq=column_sum_map(dec, basis), b_eq=np.ones(dec.n_modes),
+                             bounds=(None, None), method="highs")
+                assert lp.status in (0, 2)
+                try:
+                    truncate_kl(dec, chi)
+                    refused = False
+                except InfeasibleTruncationError:
+                    refused = True
+                assert refused == (lp.status == 2), (lang.size, chi)
+
+    @pytest.mark.parametrize("seed, chi", [(0, 1), (1, 1), (2, 1), (2, 2), ("planted", 1)])
+    def test_not_above_slsqp(self, seed, chi):
+        dec = dec_11(planted_zero_language() if seed == "planted"
+                     else random_doubly_stochastic_language(seed, 4))
+        truth = reconstruct_matrix(dec)
+        basis = span_basis(dec, chi)
+        sums = column_sum_map(dec, basis)
+        # F = base + M y spans the unit-column-sum members of the span.
+        c_p = np.linalg.lstsq(sums, np.ones(dec.n_modes), rcond=None)[0]
+        Z = null_space(sums)
+        base, M = basis @ c_p, basis @ Z
+        support = truth.ravel() > 1e-12
+        w = (truth * dec.marginal[None, :]).ravel()[support]
+
+        def objective(y):
+            return -w @ np.log(np.maximum((base + M @ y)[support], 1e-300))
+
+        def gradient(y):
+            return -M[support].T @ (w / np.maximum((base + M @ y)[support], 1e-300))
+
+        uniform = np.full(truth.size, 1.0 / truth.shape[0])  # feasible: doubly stochastic
+        res = minimize(objective, Z.T @ (basis.T @ uniform - c_p), jac=gradient, method="SLSQP",
+                       constraints=[{"type": "ineq", "fun": lambda y: base + M @ y,
+                                     "jac": lambda y: M}],
+                       options={"ftol": 1e-15, "maxiter": 1000})
+        assert res.success
+        theirs = kl_conditional(truth, (base + M @ res.x).reshape(truth.shape), dec.marginal)
+        ours = truncate_kl(dec, chi).provenance["kl_divergence"]
+        assert theirs >= ours - 1e-9
+
+
 class TestKlHelper:
     def test_zero_on_equal(self):
         lang = random_language(0, Alphabet(3), 2)
@@ -193,16 +349,7 @@ class TestKlHelper:
 
 
 class TestMultiLength:
-    def k3_language(self, seed=0):
-        # doubly stochastic front bigram extended with generic conditionals
-        base = random_doubly_stochastic_language(seed, 2)
-        rng = np.random.default_rng(seed + 100)
-        cond3 = rng.dirichlet(np.ones(2), size=4)  # P(x3 | x1 x2)
-        joint = np.empty((2, 2, 2))
-        for x1 in range(2):
-            for x2 in range(2):
-                joint[x1, x2, :] = base.joint[x1, x2] * cond3[x1 * 2 + x2]
-        return Language(alphabet=Alphabet(2), K=3, joint=joint)
+    k3_language = staticmethod(k3_language_with_balanced_front)
 
     def test_full_cutoffs_recover_joint(self):
         lang = self.k3_language()

@@ -8,11 +8,20 @@ policies are supported: "paper" divides by the raw context occurrence count,
 which leaves columns sub-stochastic once continuations have been filtered;
 "stochastic" divides by the retained-row sum so every column is exactly
 normalized, which is what the decomposition machinery requires.
+
+A window of w tokens t₁ … t_w is held as its base-|Σ| code
+Σᵢ tᵢ·|Σ|^(w−i), first token most significant. Among windows of one length,
+ascending codes are ascending token tuples, so a table sorted by code is
+sorted exactly as its token tuples would be. Codes are int64: |Σ|^k and
+|Σ|^l must each stay below 2^63, and larger alphabets raise
+:class:`CorpusError` before anything is counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,82 +45,100 @@ class TokenStream:
     def __post_init__(self):
         if self.alphabet_size < 1:
             raise CorpusError("alphabet_size must be positive")
-        for doc in self.records:
-            if not doc:
-                raise CorpusError("documents must be non-empty")
-            for tok in doc:
-                if not 0 <= tok < self.alphabet_size:
-                    raise CorpusError(
-                        f"token id {tok} outside alphabet of size {self.alphabet_size}"
-                    )
+        if not all(self.records):
+            raise CorpusError("documents must be non-empty")
+        bad = [tok for doc in self.records for tok in doc if not 0 <= tok < self.alphabet_size]
+        if bad:
+            raise CorpusError(f"token id {bad[0]} outside alphabet of size {self.alphabet_size}")
+
+
+def _places(alphabet_size: int, width: int) -> np.ndarray:
+    """Place values |Σ|^(w−1) … |Σ|^0 of a width-w window code."""
+    if int(alphabet_size) ** int(width) >= 2**63:
+        raise CorpusError(f"windows of {width} tokens over an alphabet of size {alphabet_size} "
+                          f"do not fit 64-bit codes (|Σ|^{width} >= 2^63)")
+    return np.array([alphabet_size**p for p in range(width - 1, -1, -1)], dtype=np.int64)
+
+
+def _decode(codes: np.ndarray, width: int, alphabet_size: int) -> list[list[int]]:
+    """Token ids of each code, first token first."""
+    return (codes[:, None] // _places(alphabet_size, width) % alphabet_size).tolist()
+
+
+def _labels(codes: np.ndarray, width: int, alphabet_size: int) -> list[str]:
+    """Comma-joined token ids of each code, formatted once per distinct code."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    names = [",".join(map(str, ids)) for ids in _decode(distinct, width, alphabet_size)]
+    return [names[i] for i in inverse.tolist()]
 
 
 @dataclass
 class CountTable:
     """Window counts for a (k, l) split, after frequency filtering.
 
-    ``x_counts`` are raw window-prefix occurrence counts of each retained
-    context (windows whose continuation ran past the document end are
-    dropped, not padded).
+    ``x_codes`` holds the code of each retained context in ascending order and
+    ``x_counts`` its raw occurrence count: every position where k tokens fit,
+    including those whose continuation would run past the document end (such
+    windows are dropped, not padded). ``xy_codes`` is an (n, 2) array of
+    (context code, continuation code) rows in ascending lexicographic order,
+    which is token-tuple order, with ``xy_counts`` aligned to it. Every pair's
+    context is among ``x_codes``. ``windows`` is the number of full windows
+    before filtering; it is None for a table read from a file.
     """
 
     k: int
     l: int
-    xy_counts: dict[tuple[Sequence, Sequence], int]
-    x_counts: dict[Sequence, int]
-    min_count: int
-    min_y_count: int
-    alphabet_size: int = 0
-    meta: dict = field(default_factory=dict)
+    alphabet_size: int
+    x_codes: np.ndarray
+    x_counts: np.ndarray
+    xy_codes: np.ndarray
+    xy_counts: np.ndarray
+    min_count: int = 1
+    min_y_count: int = 1
+    windows: int | None = None
 
-    def x_sequences(self) -> list[Sequence]:
-        return sorted(self.x_counts)
-
-    def y_sequences(self) -> list[Sequence]:
-        return sorted({y for (_, y) in self.xy_counts})
+    def __post_init__(self):
+        self.x_codes, self.x_counts, self.xy_counts = (
+            np.asarray(a, dtype=np.int64).reshape(-1)
+            for a in (self.x_codes, self.x_counts, self.xy_counts))
+        self.xy_codes = np.asarray(self.xy_codes, dtype=np.int64).reshape(-1, 2)
+        x, y = self.xy_codes.T
+        step = np.diff(x)
+        if (self.x_codes.size != self.x_counts.size or x.size != self.xy_counts.size
+                or np.any(self.x_counts < 1) or np.any(self.xy_counts < 1)
+                or np.any(np.diff(self.x_codes) <= 0)
+                or np.any((step < 0) | ((step == 0) & (np.diff(y) <= 0)))
+                or not np.all(np.isin(x, self.x_codes))):
+            raise CorpusError("a count table needs distinct ascending codes aligned with "
+                              "positive counts, and every pair's context among x_codes")
 
     def total_windows(self) -> int:
-        """Number of full (x, y) windows before filtering."""
-        return int(self.meta.get("total_windows", sum(self.xy_counts.values())))
+        """Number of full (x, y) windows before filtering (the pair total if unknown)."""
+        return self.windows if self.windows is not None else int(self.xy_counts.sum())
 
 
-def _count_shard(
-    docs, k: int, l: int
-) -> tuple[dict[tuple[Sequence, Sequence], int], dict[Sequence, int]]:
-    # x occurrences are counted wherever the k-gram fits; (x, y) windows
-    # additionally need the continuation to fit (no padding at document ends).
-    xy: dict[tuple[Sequence, Sequence], int] = {}
-    xc: dict[Sequence, int] = {}
-    width = k + l
-    for doc in docs:
-        for i in range(len(doc) - k + 1):
-            x = tuple(doc[i : i + k])
-            xc[x] = xc.get(x, 0) + 1
-            if i + width <= len(doc):
-                y = tuple(doc[i + k : i + width])
-                xy[(x, y)] = xy.get((x, y), 0) + 1
-    return xy, xc
+def _windows(records, alphabet_size: int, k: int, l: int):
+    """Codes of the windows that fit inside one document, in corpus order.
 
-
-def merge_counts(shards) -> tuple[dict, dict]:
-    """Deterministic (sorted-key) reduction of per-shard counts."""
-    xy: dict[tuple[Sequence, Sequence], int] = {}
-    xc: dict[Sequence, int] = {}
-    for shard_xy, shard_xc in shards:
-        for key in sorted(shard_xy):
-            xy[key] = xy.get(key, 0) + shard_xy[key]
-        for key in sorted(shard_xc):
-            xc[key] = xc.get(key, 0) + shard_xc[key]
-    return xy, xc
+    Returns the context code at every position where k tokens fit and, at
+    every position where k + l tokens fit, its context code, continuation
+    code, document index and offset within that document.
+    """
+    x_places, y_places = _places(alphabet_size, k), _places(alphabet_size, l)
+    lengths = np.fromiter(map(len, records), dtype=np.int64, count=len(records))
+    flat = np.fromiter(chain.from_iterable(records), dtype=np.int64, count=int(lengths.sum()))
+    doc = np.repeat(np.arange(len(records)), lengths)
+    offset = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    room = lengths[doc] - offset  # tokens from each position to its document's end
+    padded = np.concatenate([flat, np.zeros(k + l, dtype=np.int64)])
+    window = np.lib.stride_tricks.sliding_window_view(padded, k + l)[: flat.size]
+    x, y = window[:, :k] @ x_places, window[:, k:] @ y_places
+    full = room >= k + l
+    return x[room >= k], x[full], y[full], doc[full], offset[full]
 
 
 def stream_ngram_counts(
-    stream: TokenStream,
-    k: int,
-    l: int,
-    min_count: int = 1,
-    min_y_count: int = 1,
-    shards: int = 1,
+    stream: TokenStream, k: int, l: int, min_count: int = 1, min_y_count: int = 1
 ) -> CountTable:
     """Count (length-k, length-l) windows and apply the two-stage filter.
 
@@ -123,32 +150,24 @@ def stream_ngram_counts(
         raise CorpusError("k and l must be >= 1")
     if not stream.records:
         raise CorpusError("empty corpus")
-    if shards <= 1:
-        xy, xc = _count_shard(stream.records, k, l)
-    else:
-        chunks = [stream.records[i::shards] for i in range(shards)]
-        xy, xc = merge_counts(_count_shard(chunk, k, l) for chunk in chunks)
-    if not xy:
+    x_all, pair_x, pair_y, _, _ = _windows(stream.records, stream.alphabet_size, k, l)
+    if not pair_x.size:
         raise CorpusError(f"no windows: every document is shorter than k + l = {k + l}")
-    total_windows = sum(xy.values())
 
-    retained_x = {x for x, c in xc.items() if c >= min_count}
-    xy = {key: c for key, c in xy.items() if key[0] in retained_x}
-    y_totals: dict[Sequence, int] = {}
-    for (x, y), c in xy.items():
-        y_totals[y] = y_totals.get(y, 0) + c
-    retained_y = {y for y, c in y_totals.items() if c >= min_y_count}
-    xy = {key: c for key, c in xy.items() if key[1] in retained_y}
-    xc = {x: c for x, c in xc.items() if x in retained_x}
+    x_codes, x_counts = np.unique(x_all, return_counts=True)
+    y_codes, y_rank = np.unique(pair_y, return_inverse=True)
+    x_rank = np.searchsorted(x_codes, pair_x)
+    kept_x = x_counts >= min_count
+    live = kept_x[x_rank]
+    kept_y = np.bincount(y_rank[live], minlength=y_codes.size) >= min_y_count
+    live &= kept_y[y_rank]
+    # Pairs are counted over ranks, whose ids stay below
+    # (#contexts)·(#continuations) however large |Σ|^(k+l) is.
+    ids, xy_counts = np.unique(x_rank[live] * y_codes.size + y_rank[live], return_counts=True)
     return CountTable(
-        k=k,
-        l=l,
-        xy_counts=xy,
-        x_counts=xc,
-        min_count=min_count,
-        min_y_count=min_y_count,
-        alphabet_size=stream.alphabet_size,
-        meta={"total_windows": total_windows},
+        k, l, stream.alphabet_size, x_codes[kept_x], x_counts[kept_x],
+        np.column_stack([x_codes[ids // y_codes.size], y_codes[ids % y_codes.size]]), xy_counts,
+        min_count=min_count, min_y_count=min_y_count, windows=int(pair_x.size),
     )
 
 
@@ -167,55 +186,38 @@ def build_conditional_matrix(
         raise CorpusError("lambda_smooth must be >= 0")
     if policy not in ("paper", "stochastic"):
         raise CorpusError(f"unknown policy {policy!r}")
-    if not counts.xy_counts:
+    if not counts.xy_counts.size:
         raise CorpusError("empty table: all counts were filtered away")
 
-    y_labels = counts.y_sequences()
-    y_index = {y: i for i, y in enumerate(y_labels)}
-    row_sums: dict[Sequence, int] = {}
-    for (x, y), c in counts.xy_counts.items():
-        row_sums[x] = row_sums.get(x, 0) + c
-    x_labels = [x for x in counts.x_sequences() if row_sums.get(x, 0) > 0]
-    if not x_labels:
-        raise CorpusError("empty table: all counts were filtered away")
-    x_index = {x: i for i, x in enumerate(x_labels)}
-
-    n_y, n_x = len(y_labels), len(x_labels)
-    raw = np.zeros((n_y, n_x))
-    for (x, y), c in counts.xy_counts.items():
-        if x in x_index:
-            raw[y_index[y], x_index[x]] = c
-    if policy == "stochastic":
-        denom_counts = raw.sum(axis=0)
-    else:
-        denom_counts = np.array([counts.x_counts[x] for x in x_labels], dtype=float)
-    matrix = (raw + lambda_smooth) / (denom_counts + lambda_smooth * n_y)[None, :]
-
-    x_raw = np.array([counts.x_counts[x] for x in x_labels], dtype=float)
+    used, col = np.unique(np.searchsorted(counts.x_codes, counts.xy_codes[:, 0]),
+                          return_inverse=True)
+    y_codes, row = np.unique(counts.xy_codes[:, 1], return_inverse=True)
+    matrix = np.zeros((y_codes.size, used.size))  # raw counts, then smoothed in place
+    matrix[row, col] = counts.xy_counts
+    x_raw = counts.x_counts[used].astype(float)
+    denom_counts = matrix.sum(axis=0) if policy == "stochastic" else x_raw
+    matrix += lambda_smooth
+    matrix /= (denom_counts + lambda_smooth * y_codes.size)[None, :]
     marginal = x_raw / x_raw.sum()
+    size = counts.alphabet_size
     return ConditionalOperator(
-        k=counts.k,
-        l=counts.l,
-        matrix=matrix,
-        marginal=marginal,
-        x_labels=tuple(x_labels),
-        y_labels=tuple(y_labels),
-        meta={
-            "policy": policy,
-            "lambda_smooth": lambda_smooth,
-            "min_count": counts.min_count,
-            "min_y_count": counts.min_y_count,
-            "alphabet_size": counts.alphabet_size,
-        },
+        k=counts.k, l=counts.l, matrix=matrix, marginal=marginal,
+        x_labels=tuple(map(tuple, _decode(counts.x_codes[used], counts.k, size))),
+        y_labels=tuple(map(tuple, _decode(y_codes, counts.l, size))),
+        meta={"policy": policy, "lambda_smooth": lambda_smooth, "min_count": counts.min_count,
+              "min_y_count": counts.min_y_count, "alphabet_size": size},
     )
 
 
+def _encode(labels, width: int, alphabet_size: int) -> np.ndarray:
+    """Codes of token tuples; -1 for a tuple with a token outside the alphabet."""
+    ids = np.array(labels, dtype=np.int64).reshape(len(labels), width)
+    inside = np.all((ids >= 0) & (ids < alphabet_size), axis=1)
+    return np.where(inside, ids @ _places(alphabet_size, width), -1)
+
+
 def extract_contextual_examples(
-    stream: TokenStream,
-    dec,
-    component: int,
-    window: int = 50,
-    loading_fraction: float = 0.1,
+    stream: TokenStream, dec, component: int, window: int = 50, loading_fraction: float = 0.1
 ) -> list[tuple[tuple[int, ...], Sequence, Sequence, tuple[int, ...]]]:
     """Corpus occurrences illustrating one singular component.
 
@@ -229,31 +231,26 @@ def extract_contextual_examples(
         raise CorpusError(f"component {component} out of range")
     if not 0 < loading_fraction <= 1:
         raise CorpusError("loading_fraction must be in (0, 1]")
-    left = dec.left_vectors[:, component]
-    right = dec.right_vectors[:, component]
+    left, right = dec.left_vectors[:, component], dec.right_vectors[:, component]
     top_y = dec.y_labels[int(np.argmax(np.abs(left)))]
     max_mag = float(np.max(np.abs(right)))
     if max_mag == 0:
         return []
-    k, l = dec.k, dec.l
+    k, l, size = dec.k, dec.l, stream.alphabet_size
+    _, pair_x, pair_y, doc, offset = _windows(stream.records, size, k, l)
+    x_codes = _encode(dec.x_labels, k, size)
+    y_match = pair_y == _encode([top_y], l, size)[0]
 
     band = loading_fraction
     while True:
         threshold = (1.0 - band) * max_mag
-        chosen = {
-            dec.x_labels[i]
-            for i in range(len(dec.x_labels))
-            if abs(right[i]) >= threshold - 1e-15
-        }
+        chosen = x_codes[np.abs(right) >= threshold - 1e-15]
+        hits = np.flatnonzero(y_match & np.isin(pair_x, chosen))
         matches = []
-        for doc in stream.records:
-            for i in range(len(doc) - k - l + 1):
-                x = tuple(doc[i : i + k])
-                y = tuple(doc[i + k : i + k + l])
-                if y == top_y and x in chosen:
-                    before = tuple(doc[max(0, i - window) : i])
-                    after = tuple(doc[i + k + l : i + k + l + window])
-                    matches.append((before, x, y, after))
+        for d, i in zip(doc[hits].tolist(), offset[hits].tolist()):
+            rec = stream.records[d]
+            matches.append((rec[max(0, i - window) : i], rec[i : i + k],
+                            rec[i + k : i + k + l], rec[i + k + l : i + k + l + window]))
         if matches or band >= 0.5:
             return matches
         band = min(band + 0.1, 0.5)
@@ -266,25 +263,20 @@ def extract_contextual_examples(
 
 def read_token_stream(path: str | Path) -> TokenStream:
     path = Path(path)
-    alphabet_size = None
-    records = []
+    alphabet_size, records = None, []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#alphabet"):
-                parts = line.split()
-                if len(parts) != 2:
-                    raise CorpusError(f"{path}:{lineno}: malformed alphabet header")
-                alphabet_size = int(parts[1])
-                continue
-            if line.startswith("#"):
-                continue
-            try:
-                records.append(tuple(int(tok) for tok in line.split()))
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad token id ({exc})") from None
+                try:
+                    (alphabet_size,) = map(int, line.split()[1:])
+                except ValueError:
+                    raise CorpusError(f"{path}:{lineno}: malformed alphabet header") from None
+            elif line and not line.startswith("#"):
+                try:
+                    records.append(tuple(map(int, line.split())))
+                except ValueError as exc:
+                    raise CorpusError(f"{path}:{lineno}: bad token id ({exc})") from None
     if alphabet_size is None:
         raise CorpusError(f"{path}: missing '#alphabet <n>' header")
     if not records:
@@ -301,69 +293,76 @@ def write_token_stream(stream: TokenStream, path: str | Path) -> None:
 
 
 def write_count_table(counts: CountTable, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"#k {counts.k}\n#l {counts.l}\n")
-        fh.write(f"#min_count {counts.min_count}\n#min_y_count {counts.min_y_count}\n")
-        fh.write(f"#alphabet {counts.alphabet_size}\n")
-        fh.write("#columns x_ids\ty_ids\tcount\n")
-        for x, y in sorted(counts.xy_counts):
-            c = counts.xy_counts[(x, y)]
-            fh.write(
-                ",".join(str(t) for t in x)
-                + "\t"
-                + ",".join(str(t) for t in y)
-                + f"\t{c}\n"
-            )
-        for x in sorted(counts.x_counts):
-            fh.write("#x_count " + ",".join(str(t) for t in x) + f"\t{counts.x_counts[x]}\n")
+    k, l, size = counts.k, counts.l, counts.alphabet_size
+    lines = [f"#k {k}", f"#l {l}", f"#min_count {counts.min_count}",
+             f"#min_y_count {counts.min_y_count}", f"#alphabet {size}",
+             "#columns x_ids\ty_ids\tcount"]
+    lines += [f"{x}\t{y}\t{c}" for x, y, c in zip(_labels(counts.xy_codes[:, 0], k, size),
+                                                   _labels(counts.xy_codes[:, 1], l, size),
+                                                   counts.xy_counts.tolist())]
+    lines += [f"#x_count {x}\t{c}"
+              for x, c in zip(_labels(counts.x_codes, k, size), counts.x_counts.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _row(*widths: int) -> str:
+    """Regex of one count row: comma-joined ids per width, then the count."""
+    number = r"\d{1,18}"  # at most 18 digits, so every number fits int64
+    return "\t".join(",".join([number] * width) for width in widths + (1,))
+
+
+def _row_codes(rows: list[str], widths: tuple[int, ...], alphabet_size: int):
+    """Window codes (one array per width) and counts of validated count rows."""
+    text = ",".join(rows).replace("\t", ",")
+    parsed = np.fromstring(text, dtype=np.int64, sep=",").reshape(len(rows), sum(widths) + 1)
+    bounds = np.cumsum((0,) + widths)
+    codes = [_encode(parsed[:, a:b], b - a, alphabet_size) for a, b in zip(bounds, bounds[1:])]
+    outside = np.flatnonzero(np.any(np.array(codes) < 0, axis=0))
+    if outside.size:
+        raise CorpusError(f"token id outside alphabet of size {alphabet_size} "
+                          f"in row {rows[outside[0]]!r}")
+    return codes, parsed[:, -1]
 
 
 def read_count_table(path: str | Path) -> CountTable:
     path = Path(path)
-    header = {"k": None, "l": None, "min_count": 1, "min_y_count": 1, "alphabet": 0}
-    xy: dict[tuple[Sequence, Sequence], int] = {}
-    xc: dict[Sequence, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#x_count "):
-                body = line[len("#x_count "):]
-                x_part, count = body.split("\t")
-                xc[tuple(int(t) for t in x_part.split(","))] = int(count)
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] in header:
-                    header[parts[0]] = int(parts[1])
-                continue
-            try:
-                x_part, y_part, count = line.split("\t")
-                x = tuple(int(t) for t in x_part.split(","))
-                y = tuple(int(t) for t in y_part.split(","))
-                xy[(x, y)] = int(count)
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: malformed count row") from None
-    if header["k"] is None or header["l"] is None:
-        raise CorpusError(f"{path}: missing k/l header")
-    if not xc:
-        # tolerate tables written without per-context rows
-        for (x, _), c in xy.items():
-            xc[x] = xc.get(x, 0) + c
-    return CountTable(
-        k=header["k"],
-        l=header["l"],
-        xy_counts=xy,
-        x_counts=xc,
-        min_count=header["min_count"],
-        min_y_count=header["min_y_count"],
-        alphabet_size=header["alphabet"],
-    )
+    text = path.read_text(encoding="utf-8")
 
+    def error(at: int, what: str) -> CorpusError:
+        lineno = text.count("\n", 0, at) + 1
+        return CorpusError(f"{path}:{lineno}: {what}")
 
-# Document-sampling sizes and filter thresholds used as configuration
-# defaults for empirical runs; not enforced anywhere.
-DEFAULT_DOC_SAMPLES = {(1, 1): 20000, (2, 2): 15000, (3, 3): 25000}
-DEFAULT_MIN_COUNTS = {(1, 1): 5, (2, 2): 10, (3, 3): 20}
+    header = {"min_count": 1, "min_y_count": 1}
+    for match in re.finditer(r"^#(k|l|min_count|min_y_count|alphabet)(?:[ \t](.*))?$", text, re.M):
+        try:
+            header[match[1]] = int(match[2])
+        except (TypeError, ValueError):
+            raise error(match.start(), f"malformed #{match[1]} header") from None
+    missing = [f"#{key}" for key in ("k", "l", "alphabet") if key not in header]
+    if missing:
+        raise CorpusError(f"{path}: missing {', '.join(missing)} header")
+    k, l, size = header["k"], header["l"], header["alphabet"]
+    if min(k, l, size) < 1:
+        raise CorpusError(f"{path}: k, l and the alphabet size must be >= 1")
+    pair_row, x_row = _row(k, l), "#x_count " + _row(k)
+    # Blank lines and comments pass; every other line must be a well-formed row.
+    bad = re.search(rf"^(?!$|#(?!x_count )|(?:{pair_row}|{x_row})$)", text, re.M)
+    if bad:
+        raise error(bad.start(), "malformed count row")
+    x_rows = re.findall(rf"^#x_count ({_row(k)})$", text, re.M)
+    try:
+        (pair_x, pair_y), xy_counts = _row_codes(re.findall(rf"^{pair_row}$", text, re.M),
+                                                 (k, l), size)
+        (x_codes,), x_counts = _row_codes(x_rows, (k,), size)
+        if not x_rows:
+            # tolerate tables written without per-context rows
+            x_codes, inverse = np.unique(pair_x, return_inverse=True)
+            x_counts = np.bincount(inverse, weights=xy_counts).astype(np.int64)
+        pairs, contexts = np.lexsort((pair_y, pair_x)), np.argsort(x_codes)
+        return CountTable(
+            k, l, size, x_codes[contexts], x_counts[contexts],
+            np.column_stack([pair_x, pair_y])[pairs], xy_counts[pairs],
+            min_count=header["min_count"], min_y_count=header["min_y_count"],
+        )
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None

@@ -115,8 +115,12 @@ def subspace_distance(dec: ModeDecomposition, f: np.ndarray, chi: int) -> float:
 def kl_conditional(
     q_cond: np.ndarray, p_cond: np.ndarray, marginal: np.ndarray
 ) -> float:
-    """D(q‖p) = Σ_x q(x) Σ_y q(y|x) log(q(y|x)/p(y|x)); +inf if p misses support."""
-    support = q_cond > 0
+    """D(q‖p) = Σ_x q(x) Σ_y q(y|x) log(q(y|x)/p(y|x)); +inf if p misses support.
+
+    The support of q is its entries above ``_ZERO_TOL``: reconstruction
+    rounding on an exact zero is not support.
+    """
+    support = q_cond > _ZERO_TOL
     if np.any(p_cond[support] <= 0):
         return float("inf")
     ratio = np.zeros_like(q_cond)

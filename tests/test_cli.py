@@ -219,6 +219,38 @@ class TestInputErrors:
         assert code == 2
         assert f"input error: {error}" in capsys.readouterr().err
 
+GOOD_COUNTS = "#k 1\n#l 1\n#alphabet 3\n0\t1\t2\n1\t2\t1\n"
+
+
+class TestCorpusInputErrors:
+    def decompose(self, tmp_path, text):
+        path = tmp_path / "counts.tsv"
+        path.write_text(text)
+        return main(["decompose", "--counts", str(path), "--out", str(tmp_path / "dec")])
+
+    def test_good_table_decomposes(self, tmp_path):
+        assert self.decompose(tmp_path, GOOD_COUNTS) == 0
+
+    def test_malformed_row_exit_2(self, tmp_path, capsys):
+        assert self.decompose(tmp_path, GOOD_COUNTS + "0,1\t2\t3\n") == 2
+        assert "counts.tsv:6: malformed count row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["#k 1\n", "#l 1\n", "#alphabet 3\n"])
+    def test_missing_header_exit_2(self, tmp_path, capsys, header):
+        assert self.decompose(tmp_path, GOOD_COUNTS.replace(header, "")) == 2
+        assert f"missing {header.split()[0]} header" in capsys.readouterr().err
+
+    def test_alphabet_too_large_for_codes_exit_2(self, tmp_path, capsys):
+        huge = f"#k 2\n#l 1\n#alphabet {2**32}\n0,0\t1\t2\n1,1\t2\t1\n"
+        assert self.decompose(tmp_path, huge) == 2
+        assert "64-bit codes" in capsys.readouterr().err
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"#alphabet {2**32}\n0 1 2\n")
+        code = main(["ingest", "--corpus", str(corpus), "--k", "2", "--l", "1",
+                     "--out", str(tmp_path / "ing")])
+        assert code == 2
+        assert "64-bit codes" in capsys.readouterr().err
+
 
 class TestBounds:
     def test_table_written(self, tmp_path):

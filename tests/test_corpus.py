@@ -1,3 +1,7 @@
+import tempfile
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +13,6 @@ from seqmodes.corpus import (
     TokenStream,
     build_conditional_matrix,
     extract_contextual_examples,
-    merge_counts,
     read_count_table,
     read_token_stream,
     stream_ngram_counts,
@@ -25,22 +28,90 @@ def make_stream(*docs, alphabet_size=None):
     return TokenStream(records=tuple(tuple(d) for d in docs), alphabet_size=alphabet_size)
 
 
+def code(ids, size):
+    """Base-``size`` code of a token tuple, first token most significant."""
+    return sum(t * size ** (len(ids) - 1 - i) for i, t in enumerate(ids))
+
+
+def ids_of(c, width, size):
+    return tuple(c // size ** (width - 1 - i) % size for i in range(width))
+
+
+def as_dicts(table):
+    """(pair counts, context counts) of a table, keyed by token tuples."""
+    size, k, l = table.alphabet_size, table.k, table.l
+    xy = {(ids_of(x, k, size), ids_of(y, l, size)): c
+          for (x, y), c in zip(table.xy_codes.tolist(), table.xy_counts.tolist())}
+    xc = {ids_of(x, k, size): c for x, c in zip(table.x_codes.tolist(), table.x_counts.tolist())}
+    return xy, xc
+
+
+def from_dicts(pairs, x_counts=None, k=1, l=1, alphabet_size=4):
+    """A table from token-tuple dicts; contexts default to their pair totals."""
+    if x_counts is None:
+        x_counts = Counter()
+        for (x, _), c in pairs.items():
+            x_counts[x] += c
+    xy = sorted((code(x, alphabet_size), code(y, alphabet_size), c) for (x, y), c in pairs.items())
+    xc = sorted((code(x, alphabet_size), c) for x, c in x_counts.items())
+    return CountTable(
+        k, l, alphabet_size,
+        [x for x, _ in xc], [c for _, c in xc], [row[:2] for row in xy], [row[2] for row in xy],
+    )
+
+
+def oracle_counts_tsv(docs, size, k, l, min_count, min_y_count):
+    """counts.tsv by counting token tuples in dicts, one window at a time."""
+    xc, xy = Counter(), Counter()
+    for doc in docs:
+        for i in range(len(doc) - k + 1):
+            x = tuple(doc[i : i + k])
+            xc[x] += 1
+            if i + k + l <= len(doc):
+                xy[x, tuple(doc[i + k : i + k + l])] += 1
+    kept_x = {x for x, c in xc.items() if c >= min_count}
+    xy = {key: c for key, c in xy.items() if key[0] in kept_x}
+    y_totals = Counter()
+    for (_, y), c in xy.items():
+        y_totals[y] += c
+    xy = {key: c for key, c in xy.items() if y_totals[key[1]] >= min_y_count}
+
+    def fmt(ids):
+        return ",".join(map(str, ids))
+
+    lines = [f"#k {k}", f"#l {l}", f"#min_count {min_count}", f"#min_y_count {min_y_count}",
+             f"#alphabet {size}", "#columns x_ids\ty_ids\tcount"]
+    lines += [f"{fmt(x)}\t{fmt(y)}\t{c}" for (x, y), c in sorted(xy.items())]
+    lines += [f"#x_count {fmt(x)}\t{xc[x]}" for x in sorted(kept_x)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def corpora(draw):
+    size = draw(st.integers(min_value=1, max_value=5))
+    token = st.integers(min_value=0, max_value=size - 1)
+    docs = draw(st.lists(st.lists(token, min_size=1, max_size=12), min_size=1, max_size=8))
+    return size, docs
+
+
 class TestStreamNgramCounts:
     def test_hand_enumeration(self):
         table = stream_ngram_counts(make_stream([0, 1, 0, 1]), 1, 1)
-        assert table.xy_counts == {((0,), (1,)): 2, ((1,), (0,)): 1}
+        xy, xc = as_dicts(table)
+        assert xy == {((0,), (1,)): 2, ((1,), (0,)): 1}
         # occurrence counts include the final 1, which heads no full window
-        assert table.x_counts == {(0,): 2, (1,): 2}
+        assert xc == {(0,): 2, (1,): 2}
         assert table.total_windows() == 3
 
     def test_single_symbol_document(self):
         table = stream_ngram_counts(make_stream([0, 0, 0]), 1, 1)
-        assert table.xy_counts == {((0,), (0,)): 2}
+        assert as_dicts(table)[0] == {((0,), (0,)): 2}
 
     def test_min_count_filter(self):
         table = stream_ngram_counts(make_stream([0, 1, 2, 0, 1, 2]), 2, 1, min_count=2)
-        assert set(table.x_counts) == {(0, 1), (1, 2)}
-        assert ((2, 0), (1,)) not in table.xy_counts
+        xy, xc = as_dicts(table)
+        assert set(xc) == {(0, 1), (1, 2)}
+        assert ((2, 0), (1,)) not in xy
 
     def test_window_total(self):
         docs = [[0, 1, 0], [1, 1, 1, 0], [0]]
@@ -50,11 +121,11 @@ class TestStreamNgramCounts:
 
     def test_paper_denominator_counts_every_occurrence(self):
         table = stream_ngram_counts(make_stream([0, 1, 2, 0, 1, 2]), 2, 1)
-        assert table.x_counts == {(0, 1): 2, (1, 2): 2, (2, 0): 1}
+        assert as_dicts(table)[1] == {(0, 1): 2, (1, 2): 2, (2, 0): 1}
 
     def test_windows_do_not_cross_documents(self):
         table = stream_ngram_counts(make_stream([0, 1], [1, 0]), 1, 1)
-        assert table.xy_counts == {((0,), (1,)): 1, ((1,), (0,)): 1}
+        assert as_dicts(table)[0] == {((0,), (1,)): 1, ((1,), (0,)): 1}
 
     def test_empty_stream_error(self):
         with pytest.raises(CorpusError, match="empty corpus"):
@@ -68,29 +139,38 @@ class TestStreamNgramCounts:
         # y totals are taken only over windows headed by a retained x
         docs = [[0, 1, 3], [0, 1, 3], [2, 3]]
         table = stream_ngram_counts(make_stream(*docs), 1, 1, min_count=2, min_y_count=2)
-        assert ((2,), (3,)) not in table.xy_counts  # x=(2,) dropped first
-        ys = {y for (_, y) in table.xy_counts}
+        xy, _ = as_dicts(table)
+        assert ((2,), (3,)) not in xy  # x=(2,) dropped first
+        ys = {y for (_, y) in xy}
         assert ys == {(1,), (3,)}
         # (3,) survives only through the two retained (1,)->(3,) windows
-        assert table.xy_counts[((1,), (3,))] == 2
+        assert xy[((1,), (3,))] == 2
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
-            min_size=1,
-            max_size=8,
-        )
+        corpora(),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
     )
-    def test_sharded_counting_matches_sequential(self, docs):
-        stream = TokenStream(records=tuple(tuple(d) for d in docs), alphabet_size=4)
-        try:
-            seq = stream_ngram_counts(stream, 1, 1)
-        except CorpusError:
+    def test_matches_tuple_counting_oracle(self, corpus, k, l, min_count, min_y_count):
+        size, docs = corpus
+        stream = TokenStream(records=tuple(tuple(d) for d in docs), alphabet_size=size)
+        windows = sum(max(0, len(d) - k - l + 1) for d in docs)
+        if not windows:
+            with pytest.raises(CorpusError, match="no windows"):
+                stream_ngram_counts(stream, k, l, min_count, min_y_count)
             return
-        sharded = stream_ngram_counts(stream, 1, 1, shards=3)
-        assert seq.xy_counts == sharded.xy_counts
-        assert seq.x_counts == sharded.x_counts
+        table = stream_ngram_counts(stream, k, l, min_count, min_y_count)
+        assert table.total_windows() == windows
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counts.tsv"
+            write_count_table(table, path)
+            text = path.read_text(encoding="utf-8")
+            assert text == oracle_counts_tsv(docs, size, k, l, min_count, min_y_count)
+            write_count_table(read_count_table(path), path)
+            assert path.read_text(encoding="utf-8") == text
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -105,27 +185,33 @@ class TestStreamNgramCounts:
         stream = TokenStream(records=tuple(tuple(d) for d in docs), alphabet_size=3)
         lo = stream_ngram_counts(stream, 1, 1, min_count=cutoff)
         hi = stream_ngram_counts(stream, 1, 1, min_count=cutoff + 1)
-        assert set(hi.x_counts) <= set(lo.x_counts)
+        assert set(as_dicts(hi)[1]) <= set(as_dicts(lo)[1])
 
-    def test_merge_deterministic(self):
-        a = ({((0,), (1,)): 1}, {(0,): 1})
-        b = ({((0,), (1,)): 2, ((1,), (0,)): 1}, {(0,): 2, (1,): 1})
-        xy, xc = merge_counts([a, b])
-        assert xy == {((0,), (1,)): 3, ((1,), (0,)): 1}
-        assert xc == {(0,): 3, (1,): 1}
+    def test_alphabet_too_large_for_codes(self):
+        # |Σ|^2 = 2^64 overflows int64 codes; nothing of that size is allocated
+        stream = make_stream([0, 1, 2], alphabet_size=2**32)
+        with pytest.raises(CorpusError, match="64-bit codes"):
+            stream_ngram_counts(stream, 2, 1)
+        table = stream_ngram_counts(stream, 1, 1)
+        assert as_dicts(table)[0] == {((0,), (1,)): 1, ((1,), (2,)): 1}
+
+
+class TestCountTable:
+    def test_rejects_unsorted_codes(self):
+        with pytest.raises(CorpusError, match="ascending"):
+            CountTable(1, 1, 3, [0, 1], [1, 1], [[1, 0], [0, 1]], [1, 1])
+
+    def test_rejects_pair_without_context_count(self):
+        with pytest.raises(CorpusError, match="context"):
+            CountTable(1, 1, 3, [0], [1], [[0, 1], [2, 0]], [1, 1])
+
+    def test_total_windows_of_read_table_is_pair_total(self):
+        table = from_dicts({((0,), (1,)): 2, ((1,), (0,)): 3})
+        assert table.windows is None and table.total_windows() == 5
 
 
 class TestBuildConditionalMatrix:
-    def table(self, pairs, k=1, l=1, x_counts=None):
-        xy = {tuple(map(tuple, key)): val for key, val in pairs.items()}
-        if x_counts is None:
-            x_counts = {}
-            for (x, _), c in xy.items():
-                x_counts[x] = x_counts.get(x, 0) + c
-        return CountTable(
-            k=k, l=l, xy_counts=xy, x_counts=x_counts, min_count=1, min_y_count=1,
-            alphabet_size=4,
-        )
+    table = staticmethod(from_dicts)
 
     def test_symmetric_counts(self):
         table = self.table({((0,), (1,)): 2, ((0,), (2,)): 2})
@@ -159,19 +245,13 @@ class TestBuildConditionalMatrix:
 
     def test_paper_policy_substochastic(self):
         # raw x occurrences exceed retained-row sums -> columns fall short of 1
-        xy = {((0,), (1,)): 2}
-        table = CountTable(
-            k=1, l=1, xy_counts=xy, x_counts={(0,): 5}, min_count=1, min_y_count=1,
-            alphabet_size=2,
-        )
+        table = from_dicts({((0,), (1,)): 2}, x_counts={(0,): 5}, alphabet_size=2)
         op = build_conditional_matrix(table, 0.0, "paper")
         assert op.matrix[0, 0] == pytest.approx(2 / 5)
         assert op.meta["policy"] == "paper"
 
     def test_empty_table_error(self):
-        table = CountTable(
-            k=1, l=1, xy_counts={}, x_counts={}, min_count=1, min_y_count=1,
-        )
+        table = from_dicts({})
         with pytest.raises(CorpusError, match="empty table"):
             build_conditional_matrix(table)
 
@@ -234,6 +314,23 @@ class TestContextualExamples:
         assert all(x == (1,) for _, x, _, _ in examples)
 
 
+    def test_labels_outside_alphabet_never_match(self):
+        # in base 3, the context (0, 4) would share code 4 with (1, 1)
+        from seqmodes.modes import TruncatedDecomposition
+
+        dec = TruncatedDecomposition(
+            k=2, l=1,
+            singular_values=np.array([1.0]),
+            left_vectors=np.array([[0.1], [0.99]]),
+            right_vectors=np.array([[1.0], [0.3]]),
+            marginal=np.array([0.5, 0.5]),
+            x_labels=((0, 4), (1, 1)),
+            y_labels=((0,), (1,)),
+        )
+        stream = make_stream([1, 1, 1], alphabet_size=3)
+        assert extract_contextual_examples(stream, dec, 0) == []
+
+
 class TestRoundTrips:
     def test_token_stream_file(self, tmp_path):
         stream = make_stream([0, 1, 2], [2, 1], alphabet_size=5)
@@ -248,6 +345,12 @@ class TestRoundTrips:
         with pytest.raises(CorpusError, match="alphabet"):
             read_token_stream(path)
 
+    def test_malformed_alphabet_header(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("#alphabet x\n0 1\n")
+        with pytest.raises(CorpusError, match="bad.txt:1: malformed alphabet header"):
+            read_token_stream(path)
+
     def test_bad_token_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("#alphabet 3\n0 1\nx y\n")
@@ -260,9 +363,50 @@ class TestRoundTrips:
         path = tmp_path / "counts.tsv"
         write_count_table(table, path)
         again = read_count_table(path)
-        assert again.xy_counts == table.xy_counts
-        assert again.x_counts == table.x_counts
+        assert as_dicts(again) == as_dicts(table)
         assert (again.k, again.l) == (1, 1)
+
+    @pytest.mark.parametrize("row", ["0,1\t2\t3", "0\t1", "0\t1\t2\t3", "a\t1\t2",
+                                     "0\t1\t-2", "0\t1\t" + "9" * 19, "#x_count 0,1\t2"])
+    def test_malformed_count_row_names_line(self, tmp_path, row):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#k 1\n#l 1\n#alphabet 3\n0\t1\t2\n{row}\n1\t0\t1\n")
+        with pytest.raises(CorpusError, match="counts.tsv:5: malformed count row"):
+            read_count_table(path)
+
+    @pytest.mark.parametrize("header", ["k", "l", "alphabet"])
+    def test_count_table_missing_header(self, tmp_path, header):
+        lines = {"k": "#k 1", "l": "#l 1", "alphabet": "#alphabet 3"}
+        del lines[header]
+        path = tmp_path / "counts.tsv"
+        path.write_text("\n".join(lines.values()) + "\n0\t1\t2\n")
+        with pytest.raises(CorpusError, match=f"missing #{header} header"):
+            read_count_table(path)
+
+    def test_count_table_malformed_header(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("#k 1\n#l x\n#alphabet 3\n0\t1\t2\n")
+        with pytest.raises(CorpusError, match="counts.tsv:2: malformed #l header"):
+            read_count_table(path)
+
+    def test_count_table_token_outside_alphabet(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("#k 1\n#l 1\n#alphabet 3\n0\t3\t2\n")
+        with pytest.raises(CorpusError, match="outside alphabet of size 3"):
+            read_count_table(path)
+
+    def test_count_table_alphabet_too_large_for_codes(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"#k 2\n#l 1\n#alphabet {2**32}\n0,1\t2\t1\n")
+        with pytest.raises(CorpusError, match="64-bit codes"):
+            read_count_table(path)
+
+    def test_count_table_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("#k 1\n#l 1\n#alphabet 3\n2\t0\t1\n0\t2\t4\n0\t1\t3\n")
+        table = read_count_table(path)
+        assert as_dicts(table) == ({((0,), (1,)): 3, ((0,), (2,)): 4, ((2,), (0,)): 1},
+                                   {(0,): 7, (2,): 1})
 
     def test_rerun_identical_bytes(self, tmp_path):
         stream = make_stream([0, 1, 0, 2, 1, 0])

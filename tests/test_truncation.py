@@ -106,6 +106,17 @@ class TestTruncateNormalized:
             assert np.all(eff.conditional >= 0)
             np.testing.assert_allclose(eff.conditional.sum(axis=0), 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("chi", [2, 3])
+    def test_planted_zeros_finite(self, chi):
+        # the reconstruction leaves ~1e-16 on the exact zeros; they are not support
+        lang = planted_zero_language()
+        op = conditional_operator(lang, 1, 1)
+        eff = truncate_normalized(weighted_svd(op), chi)
+        kl = eff.provenance["kl_divergence"]
+        assert np.isfinite(kl)
+        assert kl == pytest.approx(kl_conditional(op.matrix, eff.conditional, op.marginal),
+                                   abs=1e-12)
+
 
 class TestTruncateKl:
     def test_full_cutoff_recovers_truth(self):

@@ -29,8 +29,7 @@ from .model import (
     entropy_rate_bound,
     fit_model,
     grad_log_prob,
-    insensitivity_A,
-    insensitivity_B,
+    insensitivity_report,
     lipschitz_estimates,
     log_prob,
     phi_map,

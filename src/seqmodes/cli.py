@@ -19,6 +19,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .distribution import (
     DistributionError,
+    _sequence_labels,
     conditional_operator,
     language_from_json,
 )
@@ -29,7 +30,8 @@ from .sgld import (
     SGLDError,
     WindowViolationError,
     as_target,
-    bound_g_series,
+    bound_g,
+    bound_g_limit,
     bound_mu,
     constant_schedule,
     coupled_bound_trial,
@@ -143,11 +145,7 @@ def _label(tokens) -> str:
 def _full_table_size(op) -> int:
     """Alphabet size when the operator covers the full product space."""
     size = int(round(len(op.x_labels) ** (1.0 / op.k)))
-    import itertools
-
-    complete_x = tuple(itertools.product(range(size), repeat=op.k))
-    complete_y = tuple(itertools.product(range(size), repeat=op.l))
-    if op.x_labels != complete_x or op.y_labels != complete_y:
+    if op.x_labels != _sequence_labels(size, op.k) or op.y_labels != _sequence_labels(size, op.l):
         raise ConfigError(
             "llc/couple experiments need an operator over the full product space; "
             "a frequency-filtered counts table drops contexts or continuations"
@@ -190,8 +188,10 @@ def cmd_decompose(args) -> int:
     config = _load_config(args)
     out = _outdir(config)
     _resolve_and_echo(config, out, "decompose")
-    op = _load_operator(config)
     rank = config.get("rank")
+    if rank is not None and int(rank) < 1:
+        raise ConfigError(f"rank must be at least 1, got {rank}")
+    op = _load_operator(config)
     if rank is not None and int(rank) < min(op.matrix.shape):
         dec = truncated_weighted_svd(op, rank=int(rank))
         requested = int(rank)
@@ -338,13 +338,15 @@ def cmd_couple(args) -> int:
     config = _load_config(args)
     out = _outdir(config)
     resolved = _resolve_and_echo(config, out, "couple")
+    seeds = int(config.get("n_seeds", 1))
+    if seeds < 1:
+        raise ConfigError(f"n_seeds must be at least 1, got {seeds}")
     op = _load_operator(config)
     dec = weighted_svd(op)
     chi = int(_require(config, "chi"))
     eff = truncate(dec, chi, config.get("solver", "kl"))
     model = _model_from(config, op.k, op.l, _full_table_size(op))
     n = int(config.get("n", 20000))
-    seeds = int(config.get("n_seeds", 1))
     base_seed = int(resolved["seed"])
     cfg = _sgld_config_from(config, n, seed=base_seed)
     results = [
@@ -392,14 +394,14 @@ def cmd_bounds(args) -> int:
         print(f"hyperparameter window violated: {text}")
         return EXIT_INPUT
     mu = bound_mu(cfg, M)
-    g = bound_g_series(cfg, A, xi, M)
+    g = bound_g(np.arange(1, cfg.T + 1), A, xi, cfg, M)
     main = estimator_difference_bound(A, B, xi, kappa, Q, M, cfg)
     rows = ["t,g"] + [f"{t + 1},{g[t]:.17g}" for t in range(cfg.T)]
     (out / "bound_table.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     write_json(out / "bounds.json", {
         "mu": mu,
         "g_final": float(g[-1]),
-        "g_limit": float((cfg.eps_max / cfg.eps_min) * (A + xi) / (cfg.gamma / cfg.n_beta - M)),
+        "g_limit": float(bound_g_limit(cfg, A, xi, M)),
         "estimator_difference_bound": main,
         "window": text,
         "A": A, "B": B, "Q": Q, "M": M, "xi": xi, "kappa": kappa,
@@ -541,9 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first main() call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

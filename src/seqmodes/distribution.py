@@ -34,25 +34,14 @@ class Alphabet:
     """Finite token alphabet; token ids are 0..size-1."""
 
     size: int
-    display: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 1:
             raise DistributionError(f"alphabet size must be >= 1, got {self.size}")
-        if self.display is not None and len(self.display) != self.size:
-            raise DistributionError("display strings must match alphabet size")
-
-    def label(self, token: int) -> str:
-        if self.display is not None:
-            return self.display[token]
-        return str(token)
-
-    def sequences(self, k: int) -> list[tuple[int, ...]]:
-        """All length-k sequences in row-major (lexicographic) order."""
-        return list(itertools.product(range(self.size), repeat=k))
 
 
 def _sequence_labels(size: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """All length-k sequences in row-major (lexicographic) order."""
     return tuple(itertools.product(range(size), repeat=k))
 
 
@@ -414,57 +403,6 @@ def plant_collective_bigram(
         K=lang.K,
         joint=(full / total).reshape(lang.joint.shape),
         positivity_relaxed=True,
-    )
-
-
-def write_operator_csv(op: ConditionalOperator, path) -> None:
-    """Dense CSV with a metadata header; rows y, columns x, plus the marginal."""
-    from pathlib import Path
-
-    path = Path(path)
-    lines = [f"#k {op.k}", f"#l {op.l}"]
-    for key in sorted(op.meta):
-        lines.append(f"#{key} {op.meta[key]}")
-    lines.append("#x_labels " + ";".join(",".join(map(str, x)) for x in op.x_labels))
-    lines.append("#y_labels " + ";".join(",".join(map(str, y)) for y in op.y_labels))
-    lines.append("#marginal " + ";".join(f"{v:.17g}" for v in op.marginal))
-    for row in op.matrix:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_operator_csv(path) -> ConditionalOperator:
-    from pathlib import Path
-
-    path = Path(path)
-    meta: dict = {}
-    header: dict = {}
-    rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(" ")
-            if key in ("k", "l"):
-                header[key] = int(value)
-            elif key in ("x_labels", "y_labels"):
-                header[key] = tuple(
-                    tuple(int(t) for t in part.split(",")) for part in value.split(";")
-                )
-            elif key == "marginal":
-                header[key] = np.array([float(v) for v in value.split(";")])
-            else:
-                meta[key] = value
-            continue
-        rows.append([float(v) for v in line.split(",")])
-    return ConditionalOperator(
-        k=header["k"],
-        l=header["l"],
-        matrix=np.asarray(rows),
-        marginal=header["marginal"],
-        x_labels=header["x_labels"],
-        y_labels=header["y_labels"],
-        meta=meta,
     )
 
 

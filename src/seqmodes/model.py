@@ -10,13 +10,14 @@ The same module carries the function-space view of a model (its matrix of
 log-probabilities), the insensitivity constants of a model to the difference
 between two distributions, population and empirical losses, dataset sampling,
 full-batch fitting, the exact Hessian-norm and gradient-norm constants M and
-Q, and the entropy-rate threshold calculator. Constants over a set of points
-are evaluated on the (P, dim) stack of them at once.
+Q, the entropy-rate threshold calculator, and composite models chained over a
+decomposition of K. Constants over a set of points are evaluated on the
+(P, dim) stack of them at once. Models, weights and datasets live in memory
+only: nothing here reads or writes files.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -187,7 +188,11 @@ def insensitivity_report(
     qp_joint: np.ndarray,
     region_sample,
 ) -> InsensitivityReport:
-    """Both constants below over the points of ``region_sample``, evaluated as one stack."""
+    """Insensitivity constants over the points of ``region_sample``, evaluated as one stack.
+
+    A = max ‖Σ_{x,y} (q(x,y) − q'(x,y)) ∇_w log p(y|x,w)‖₂ and
+    B = max |Σ_{x,y} (q(x,y) − q'(x,y)) log p(y|x,w)|.
+    """
     shape = (model.n_y, model.n_x)
     if np.shape(q_joint) != shape or np.shape(qp_joint) != shape:
         raise ModelError(f"joints must have shape {shape}")
@@ -197,20 +202,6 @@ def insensitivity_report(
     per_b = np.abs((diff * model.log_conditionals(W)).reshape(len(W), -1).sum(axis=1))
     return InsensitivityReport(A=float(per_a.max()), B=float(per_b.max()),
                                per_point_A=per_a, per_point_B=per_b)
-
-
-def insensitivity_A(
-    model: SoftmaxModel, q_joint: np.ndarray, qp_joint: np.ndarray, region_sample
-) -> float:
-    """max over the sample of ‖Σ_{x,y} (q(x,y) − q'(x,y)) ∇_w log p(y|x,w)‖₂."""
-    return insensitivity_report(model, q_joint, qp_joint, region_sample).A
-
-
-def insensitivity_B(
-    model: SoftmaxModel, q_joint: np.ndarray, qp_joint: np.ndarray, region_sample
-) -> float:
-    """max over the sample of |Σ_{x,y} (q(x,y) − q'(x,y)) log p(y|x,w)|."""
-    return insensitivity_report(model, q_joint, qp_joint, region_sample).B
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +277,6 @@ def empirical_loss(model: SoftmaxModel, dataset: Dataset, w: np.ndarray) -> floa
     if len(dataset) == 0:
         raise ModelError("empty dataset")
     return population_loss(model, dataset.empirical_joint(), w)
-
-
-def grad_empirical_loss(model: SoftmaxModel, dataset: Dataset, w: np.ndarray) -> np.ndarray:
-    if len(dataset) == 0:
-        raise ModelError("empty dataset")
-    return -model.weighted_grad(w, dataset.empirical_joint())
 
 
 def sample_dataset(joint: np.ndarray, n: int, seed: int) -> Dataset:
@@ -482,74 +467,6 @@ def entropy_rate_bound(
         exponent=float(exponent),
         context_dominates=bool(k > 2 + 31 * l),
     )
-
-
-# ---------------------------------------------------------------------------
-# Serialization: weights as a flat array with a shape header; datasets as a
-# TSV of token-id index pairs.
-# ---------------------------------------------------------------------------
-
-def save_weights(model: SoftmaxModel, w: np.ndarray, path) -> None:
-    from pathlib import Path
-
-    payload = {
-        "parametrization": model.parametrization,
-        "k": model.k,
-        "l": model.l,
-        "alphabet_size": model.alphabet_size,
-        "rank": model.rank,
-        "pinned": model.pinned,
-        "weights": [float(v) for v in np.asarray(w, dtype=float)],
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def load_weights(path) -> tuple[SoftmaxModel, np.ndarray]:
-    from pathlib import Path
-
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = SoftmaxModel(
-        k=int(payload["k"]),
-        l=int(payload["l"]),
-        alphabet_size=int(payload["alphabet_size"]),
-        parametrization=payload["parametrization"],
-        rank=payload.get("rank"),
-        pinned=bool(payload.get("pinned", True)),
-    )
-    w = np.asarray(payload["weights"], dtype=float)
-    if w.shape != (model.dim,):
-        raise ModelError(f"stored weights have wrong length {w.shape}")
-    return model, w
-
-
-def write_dataset_tsv(dataset: Dataset, path) -> None:
-    from pathlib import Path
-
-    lines = [f"#n_x {dataset.n_x}", f"#n_y {dataset.n_y}"]
-    for x, y in zip(dataset.x_idx, dataset.y_idx):
-        lines.append(f"{int(x)}\t{int(y)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_dataset_tsv(path) -> Dataset:
-    from pathlib import Path
-
-    n_x = n_y = None
-    xs, ys = [], []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line:
-            continue
-        if line.startswith("#n_x"):
-            n_x = int(line.split()[1])
-        elif line.startswith("#n_y"):
-            n_y = int(line.split()[1])
-        elif not line.startswith("#"):
-            x, y = line.split("\t")
-            xs.append(int(x))
-            ys.append(int(y))
-    if n_x is None or n_y is None:
-        raise ModelError("dataset file missing shape header")
-    return Dataset(x_idx=np.asarray(xs), y_idx=np.asarray(ys), n_x=n_x, n_y=n_y)
 
 
 # ---------------------------------------------------------------------------

@@ -64,14 +64,6 @@ class ModeDecomposition:
         """|Λ⁺⁺| = dimension of the continuation space."""
         return self.left_vectors.shape[1]
 
-    @property
-    def lambda_plus(self) -> range:
-        return range(self.n_plus)
-
-    @property
-    def lambda_zero(self) -> range:
-        return range(self.n_plus, self.n_modes)
-
     def x_index(self, x) -> int:
         if isinstance(x, (int, np.integer)):
             return int(x)

@@ -9,10 +9,14 @@ rows configured with the same seed share their randomness by construction.
 Coupled chains are exactly that: two rows that share a seed, each following
 the loss of its own dataset. Full-data losses are evaluated after the loop.
 
-Also here: the trajectory-divergence bound g(t, A) with its hyperparameter
-window, the estimator-difference bound, the volume-scaling oracle for the
-learning coefficient on analytic losses, and the per-seed coupled experiment
-used to validate both bounds against measured insensitivity constants.
+Step sizes come per recorded state in :class:`SGLDConfig`;
+:func:`constant_schedule` builds the constant one that every experiment uses
+(the CLI's ``--preset paper`` is its nβ = 10, γ = 300, T = 100, ε = 1e-4
+case). Also here: the trajectory-divergence bound g(t, A), one function over
+an array of steps, with its hyperparameter window; the estimator-difference
+bound; the volume-scaling oracle for the learning coefficient on analytic
+losses; and the per-seed coupled experiment used to validate both bounds
+against measured insensitivity constants.
 """
 
 from __future__ import annotations
@@ -117,25 +121,6 @@ def constant_schedule(
     )
 
 
-def geometric_schedule(
-    n: int, beta: float, gamma: float, m: int, T: int,
-    eps_max: float, eps_min: float, seed: int = 0, burn_in: float = 0.5,
-) -> SGLDConfig:
-    eps = np.geomspace(eps_max, eps_min, T)
-    return SGLDConfig(n=n, beta=beta, gamma=gamma, m=m, T=T, epsilons=eps,
-                      seed=seed, burn_in=burn_in)
-
-
-def paper_preset(n: int, epsilon: float = 1e-4, m: int | None = None, seed: int = 0) -> SGLDConfig:
-    """nβ = 10, γ = 300, T = 100, constant ε ∈ {1e-4, 1e-5}."""
-    if epsilon not in (1e-4, 1e-5):
-        raise SGLDError("preset step size is 1e-4 or 1e-5")
-    return constant_schedule(
-        n=n, beta=10.0 / n, gamma=300.0, m=n if m is None else m, T=100,
-        epsilon=epsilon, seed=seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sampling targets: anything with a dataset size, a dimension, and batched
 # full-data losses and minibatch gradients over a (B, dim) stack of states.
@@ -228,7 +213,6 @@ class ChainTrace:
     config: SGLDConfig
     w_star: np.ndarray
     norm_cap_violations: int = 0
-    aborted: bool = False
 
     @property
     def T(self) -> int:
@@ -406,20 +390,23 @@ def bound_mu(config: SGLDConfig, M: float) -> float:
     return float(mu)
 
 
-def bound_g(t: int, A: float, xi: float, config: SGLDConfig, M: float) -> float:
-    """Trajectory divergence bound at step t (1-based; g(1) = 0)."""
-    if t < 1:
+def bound_g_limit(config: SGLDConfig, A: float, xi: float, M: float) -> float:
+    """(ε_max/ε_min)(A + ξ)/(γ/nβ − M), the limit of g(t, A) as t → ∞."""
+    _require_window(config, M)
+    return (config.eps_max / config.eps_min) * (A + xi) / (config.gamma / config.n_beta - M)
+
+
+def bound_g(t, A: float, xi: float, config: SGLDConfig, M: float):
+    """Trajectory divergence bound g(t, A) = limit·(1 − μ^{t−1}), so g(1) = 0.
+
+    ``t`` is an array of 1-based steps, or one step, which is evaluated as a
+    one-element array and returned as a float.
+    """
+    steps = np.atleast_1d(t)
+    if steps.min() < 1:
         raise SGLDError("t is 1-based")
-    mu = bound_mu(config, M)
-    lead = (config.eps_max / config.eps_min) * (A + xi) / (config.gamma / config.n_beta - M)
-    return float(lead * (1.0 - mu ** (t - 1)))
-
-
-def bound_g_series(config: SGLDConfig, A: float, xi: float, M: float) -> np.ndarray:
-    mu = bound_mu(config, M)
-    lead = (config.eps_max / config.eps_min) * (A + xi) / (config.gamma / config.n_beta - M)
-    t = np.arange(1, config.T + 1)
-    return lead * (1.0 - mu ** (t - 1))
+    g = bound_g_limit(config, A, xi, M) * (1.0 - bound_mu(config, M) ** (steps - 1))
+    return g if np.ndim(t) else float(g[0])
 
 
 def bound_f(t: int, delta: float) -> float:
@@ -479,11 +466,7 @@ def volume_scaling_fit(
     remaining = int(n_samples)
     while remaining > 0:
         size = min(chunk, remaining)
-        direction = rng.standard_normal((size, dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = radius * rng.random(size) ** (1.0 / dim)
-        points = direction * radii[:, None]
-        values = loss_fn(points)
+        values = loss_fn(_ball_sample(rng, np.zeros(dim), radius, size))
         counts += (values[None, :] < epsilons[:, None]).sum(axis=1)
         remaining -= size
     ball_volume = (np.pi ** (dim / 2) / math.gamma(dim / 2 + 1)) * radius**dim
@@ -623,7 +606,7 @@ def coupled_bound_trial(
                              replace(run_config, burn_in=0.0))
     diff = abs(est_true.lambda_hat - est_trunc.lambda_hat)
     if window_ok:
-        g_series = bound_g_series(run_config, report.A, 0.0, lip.M)
+        g_series = bound_g(np.arange(1, config.T + 1), report.A, 0.0, run_config, lip.M)
         delta_ok = bool(np.all(coupled.deltas <= g_series + 1e-12))
         est_bound = estimator_difference_bound(report.A, report.B, 0.0, 0.0, lip.Q, lip.M, run_config)
         llc_ok = bool(diff <= est_bound)

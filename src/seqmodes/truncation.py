@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import ConditionalOperator, Language, conditional_operator, fundamental_tensor
+from .distribution import Language, conditional_operator, fundamental_tensor
 from .modes import (
     ModeDecomposition,
     coefficients_to_function,
@@ -74,17 +74,6 @@ class EffectiveDistribution:
 
     def joint(self) -> np.ndarray:
         return self.conditional * self.marginal[None, :]
-
-    def as_operator(self) -> ConditionalOperator:
-        return ConditionalOperator(
-            k=self.k,
-            l=self.l,
-            matrix=self.conditional,
-            marginal=self.marginal,
-            x_labels=self.x_labels,
-            y_labels=self.y_labels,
-            meta=dict(self.provenance),
-        )
 
 
 def _retained(dec: ModeDecomposition, chi: int) -> tuple[int, int]:
@@ -355,13 +344,6 @@ class CompositeTruncation:
     chis: tuple[int, ...]
     joint: np.ndarray
     levels: tuple[EffectiveDistribution, ...]
-    epsilon_sum: float | None = None
-
-    def level_marginal(self, i: int) -> np.ndarray:
-        """Composite marginal over the first k_i positions (flat, row-major)."""
-        k_i = self.pairs[i][0]
-        axes = tuple(range(k_i, self.K))
-        return self.joint.sum(axis=axes).reshape(-1)
 
 
 def multi_length_truncation(
@@ -369,13 +351,12 @@ def multi_length_truncation(
     pairs: list[tuple[int, int]],
     chis: list[int],
     solver: str = "kl",
-    constants: list[float] | None = None,
 ) -> CompositeTruncation:
     """Composite distribution Π_i q^(χ_i)(·|·) · q(base) over Σ^K.
 
     ``chis[i]`` cuts the (k_i, l_i) operator; a cutoff of n_modes-1 (or -1 as
-    shorthand) keeps everything at that level exactly. When per-level
-    insensitivity constants are supplied their sum is recorded.
+    shorthand) keeps everything at that level exactly. The result holds the
+    composite joint and each level's effective distribution.
     """
     K = lang.K
     validate_decomposition_chain(pairs, K)
@@ -394,17 +375,10 @@ def multi_length_truncation(
     for eff in reversed(levels):
         # extend over the next block: J(x, y) = q'(y|x) J(x)
         joint_flat = (eff.conditional * joint_flat[None, :]).T.reshape(-1)
-    joint = joint_flat.reshape((size,) * K)
-    eps_sum = None
-    if constants is not None:
-        if len(constants) != len(pairs):
-            raise TruncationError("need one constant per pair")
-        eps_sum = float(np.sum(constants))
     return CompositeTruncation(
         K=K,
         pairs=tuple(tuple(p) for p in pairs),
         chis=tuple(int(c) for c in chis),
-        joint=joint,
+        joint=joint_flat.reshape((size,) * K),
         levels=tuple(levels),
-        epsilon_sum=eps_sum,
     )

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _fixtures import sample_bigram_corpus
@@ -16,6 +17,7 @@ from seqmodes.distribution import (
     random_language,
 )
 from seqmodes.modes import ModeError
+from seqmodes.sgld import bound_g, constant_schedule
 
 
 @pytest.fixture()
@@ -101,6 +103,36 @@ class TestDecompose:
         dense = json.loads((out / "decomposition_dense.json").read_text())
         assert len(dense["left_vectors"]) == 3
         assert len(dense["right_vectors"][0]) == 3
+
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_nonpositive_rank_exit_2(self, fixture_language, tmp_path, capsys, rank):
+        code = main(["decompose", "--language", str(fixture_language), "--k", "1",
+                     "--l", "1", "--rank", rank, "--out", str(tmp_path / "dec")])
+        assert code == 2
+        assert f"input error: rank must be at least 1, got {rank}" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_parser_built_once_and_configs_independent(self, fixture_language, tmp_path,
+                                                       monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        common = ["--language", str(fixture_language), "--k", "1", "--l", "1"]
+        assert main(["decompose", *common, "--dense", "--out", str(tmp_path / "a")]) == 0
+        assert main(["decompose", *common, "--out", str(tmp_path / "b")]) == 0
+        assert len(builds) == 1
+        first = json.loads((tmp_path / "a" / "resolved_config.json").read_text())
+        second = json.loads((tmp_path / "b" / "resolved_config.json").read_text())
+        assert first["dense"] is True
+        assert "dense" not in second
+        assert not (tmp_path / "b" / "decomposition_dense.json").exists()
 
 
 class TestPreset:
@@ -191,6 +223,12 @@ class TestLlcAndCouple:
         assert report["delta_bound_pass"] == 2
         assert report["llc_bound_pass"] == 2
 
+    def test_couple_zero_seeds_exit_2(self, fixture_language, tmp_path, capsys):
+        code = main(["couple", "--language", str(fixture_language), "--k", "1", "--l", "1",
+                     "--chi", "1", "--n-seeds", "0", "--out", str(tmp_path / "couple")])
+        assert code == 2
+        assert "input error: n_seeds must be at least 1, got 0" in capsys.readouterr().err
+
 
 class TestInputErrors:
     def test_low_rank_without_rank_exit_2(self, fixture_language, tmp_path, capsys):
@@ -262,6 +300,26 @@ class TestBounds:
         payload = json.loads((out / "bounds.json").read_text())
         assert payload["mu"] == pytest.approx(0.995)
         assert payload["estimator_difference_bound"] == pytest.approx(5.2)
+
+    def test_g_column_is_bound_g(self, tmp_path):
+        # nβ = 10, γ = 300, ε = 1e-4, T = 100, M = 20, A = 1: a configuration on
+        # which a scalar evaluation of g(t, A) through Python's float power
+        # differs in the last bits from the array evaluation at t = 3, 15, 29,
+        # 49 and 63. The table and every bound_g call must agree exactly.
+        out = tmp_path / "b"
+        code = main(["bounds", "--A", "1", "--B", "0.01", "--Q", "5", "--M", "20",
+                     "--n", "1000", "--beta", "0.01", "--gamma", "300",
+                     "--epsilon", "1e-4", "--T", "100", "--out", str(out)])
+        assert code == 0
+        rows = (out / "bound_table.csv").read_text().splitlines()
+        assert rows[0] == "t,g"
+        table = [float(row.split(",")[1]) for row in rows[1:]]
+        cfg = constant_schedule(n=1000, beta=0.01, gamma=300.0, m=1000, T=100, epsilon=1e-4)
+        series = bound_g(np.arange(1, 101), 1.0, 0.0, cfg, 20.0)
+        assert [f"{v:.17g}" for v in table] == [f"{v:.17g}" for v in series]
+        assert all(table[t - 1] == bound_g(t, 1.0, 0.0, cfg, 20.0) for t in range(1, 101))
+        payload = json.loads((out / "bounds.json").read_text())
+        assert payload["g_final"] == table[-1]
 
     def test_window_violation_exit_2(self, tmp_path, capsys):
         out = tmp_path / "b"

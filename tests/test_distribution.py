@@ -254,20 +254,6 @@ class TestSerialization:
         assert again.positivity_relaxed
 
 
-class TestOperatorCsv:
-    def test_roundtrip(self, tmp_path):
-        from seqmodes.distribution import read_operator_csv, write_operator_csv
-
-        lang = random_language(4, Alphabet(3), 2)
-        op = conditional_operator(lang, 1, 1)
-        path = tmp_path / "operator.csv"
-        write_operator_csv(op, path)
-        again = read_operator_csv(path)
-        np.testing.assert_array_equal(again.matrix, op.matrix)
-        np.testing.assert_array_equal(again.marginal, op.marginal)
-        assert again.x_labels == op.x_labels and again.y_labels == op.y_labels
-
-
 class TestLanguageValidation:
     def test_rejects_unnormalized(self):
         with pytest.raises(DistributionError):

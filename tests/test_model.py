@@ -18,11 +18,8 @@ from seqmodes.model import (
     empirical_loss,
     entropy_rate_bound,
     fit_model,
-    grad_empirical_loss,
     grad_log_prob,
     grad_population_loss,
-    insensitivity_A,
-    insensitivity_B,
     insensitivity_report,
     lipschitz_estimates,
     log_prob,
@@ -150,12 +147,12 @@ class TestInsensitivity:
 
     def test_identical_distributions_zero(self):
         sample = [np.zeros(2), np.ones(2)]
-        assert insensitivity_A(self.model, self.q, self.q, sample) == 0.0
-        assert insensitivity_B(self.model, self.q, self.q, sample) == 0.0
+        assert insensitivity_report(self.model, self.q, self.q, sample).A == 0.0
+        assert insensitivity_report(self.model, self.q, self.q, sample).B == 0.0
 
     def test_single_point_equals_norm(self):
         w = np.array([0.3, -0.2])
-        val = insensitivity_A(self.model, self.q, self.qp, [w])
+        val = insensitivity_report(self.model, self.q, self.qp, [w]).A
         expected = np.linalg.norm(self.model.weighted_grad(w, self.q - self.qp))
         assert val == pytest.approx(expected)
 
@@ -166,14 +163,14 @@ class TestInsensitivity:
             for x in range(2)
             for y in range(2)
         )
-        assert insensitivity_A(self.model, self.q, self.qp, [w]) == pytest.approx(
+        assert insensitivity_report(self.model, self.q, self.qp, [w]).A == pytest.approx(
             float(np.linalg.norm(vec))
         )
 
     def test_B_uniform_model_zero_when_masses_match(self):
         # constant log p factors out when both joints have the same column sums
         w = np.zeros(2)
-        val = insensitivity_B(self.model, self.q, self.qp, [w])
+        val = insensitivity_report(self.model, self.q, self.qp, [w]).B
         assert val < 1e-12
 
     def test_B_matches_bruteforce(self):
@@ -185,13 +182,13 @@ class TestInsensitivity:
                 for y in range(2)
             )
         )
-        assert insensitivity_B(self.model, self.q, self.qp, [w]) == pytest.approx(brute)
+        assert insensitivity_report(self.model, self.q, self.qp, [w]).B == pytest.approx(brute)
 
     def test_monotone_in_sample(self):
         rng = np.random.default_rng(4)
         pts = [rng.standard_normal(2) for _ in range(8)]
-        small = insensitivity_A(self.model, self.q, self.qp, pts[:3])
-        large = insensitivity_A(self.model, self.q, self.qp, pts)
+        small = insensitivity_report(self.model, self.q, self.qp, pts[:3]).A
+        large = insensitivity_report(self.model, self.q, self.qp, pts).A
         assert large >= small
 
     def test_report_carries_per_point(self):
@@ -202,7 +199,7 @@ class TestInsensitivity:
 
     def test_empty_sample_error(self):
         with pytest.raises(ModelError):
-            insensitivity_A(self.model, self.q, self.qp, [])
+            insensitivity_report(self.model, self.q, self.qp, []).A
 
 
 class TestLosses:
@@ -351,12 +348,12 @@ class TestLipschitz:
 
         def dense_hessian(w):
             h = np.zeros((model.dim, model.dim))
-            g0 = grad_empirical_loss(model, ds, w)
+            g0 = grad_population_loss(model, ds.empirical_joint(), w)
             eps = 1e-6
             for i in range(model.dim):
                 e = np.zeros(model.dim)
                 e[i] = eps
-                h[:, i] = (grad_empirical_loss(model, ds, w + e) - g0) / eps
+                h[:, i] = (grad_population_loss(model, ds.empirical_joint(), w + e) - g0) / eps
             return (h + h.T) / 2
 
         oracle = max(np.linalg.norm(dense_hessian(w), 2) for w in pts)
@@ -396,7 +393,8 @@ class TestLipschitz:
         model = SoftmaxModel(k=1, l=1, alphabet_size=2)
         pts = [np.zeros(2), np.array([1.0, -1.0])]
         est = lipschitz_estimates(model, ds, pts)
-        expected = max(np.linalg.norm(grad_empirical_loss(model, ds, w)) for w in pts)
+        joint = ds.empirical_joint()
+        expected = max(np.linalg.norm(grad_population_loss(model, joint, w)) for w in pts)
         assert est.Q == pytest.approx(expected)
 
 
@@ -421,30 +419,6 @@ class TestEntropyRateBound:
         base = entropy_rate_bound(6, 2, 8, 1.5, 1.0).threshold
         assert entropy_rate_bound(7, 2, 8, 1.5, 1.0).threshold > base
         assert entropy_rate_bound(6, 3, 8, 1.5, 1.0).threshold < base
-
-
-class TestSerialization:
-    def test_weights_roundtrip(self, tmp_path):
-        from seqmodes.model import load_weights, save_weights
-
-        model = SoftmaxModel(k=1, l=1, alphabet_size=3, parametrization="low_rank", rank=2)
-        w = np.linspace(-1, 1, model.dim)
-        path = tmp_path / "weights.json"
-        save_weights(model, w, path)
-        again, w2 = load_weights(path)
-        assert again == model
-        np.testing.assert_array_equal(w, w2)
-
-    def test_dataset_roundtrip(self, tmp_path):
-        from seqmodes.model import read_dataset_tsv, write_dataset_tsv
-
-        ds = Dataset(x_idx=np.array([0, 1, 2]), y_idx=np.array([1, 0, 1]), n_x=3, n_y=2)
-        path = tmp_path / "data.tsv"
-        write_dataset_tsv(ds, path)
-        again = read_dataset_tsv(path)
-        np.testing.assert_array_equal(again.x_idx, ds.x_idx)
-        np.testing.assert_array_equal(again.y_idx, ds.y_idx)
-        np.testing.assert_array_equal(again.counts, ds.counts)
 
 
 class TestCompositeModel:

@@ -406,10 +406,3 @@ class TestMultiLength:
             validate_decomposition_chain([(1, 1)], 3)
         with pytest.raises(TruncationError):
             multi_length_truncation(self.k3_language(), [(2, 1)], [0, 0])
-
-    def test_epsilon_sum_recorded(self):
-        lang = self.k3_language(seed=3)
-        comp = multi_length_truncation(
-            lang, [(2, 1), (1, 1)], [-1, 0], solver="normalized", constants=[0.125, 0.5]
-        )
-        assert comp.epsilon_sum == 0.625

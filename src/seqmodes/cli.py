@@ -259,6 +259,13 @@ def cmd_truncate(args) -> int:
     return EXIT_OK
 
 
+def _sample_size(config: dict, default: int) -> int:
+    n = int(config.get("n", default))
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
+    return n
+
+
 def _sgld_config_from(config: dict, n: int, seed: int):
     preset = config.get("preset")
     if preset == "paper":
@@ -295,7 +302,7 @@ def cmd_llc(args) -> int:
     resolved = _resolve_and_echo(config, out, "llc")
     op = _load_operator(config)
     model = _model_from(config, op.k, op.l, _full_table_size(op))
-    n = int(config.get("n", 10000))
+    n = _sample_size(config, 10000)
     seed = int(resolved["seed"])
     dataset = sample_dataset(op.joint(), n, seed=seed)
     fit = fit_model(model, dataset)
@@ -346,7 +353,7 @@ def cmd_couple(args) -> int:
     chi = int(_require(config, "chi"))
     eff = truncate(dec, chi, config.get("solver", "kl"))
     model = _model_from(config, op.k, op.l, _full_table_size(op))
-    n = int(config.get("n", 20000))
+    n = _sample_size(config, 20000)
     base_seed = int(resolved["seed"])
     cfg = _sgld_config_from(config, n, seed=base_seed)
     results = [
@@ -379,7 +386,7 @@ def cmd_bounds(args) -> int:
     config = _load_config(args)
     out = _outdir(config)
     _resolve_and_echo(config, out, "bounds")
-    n = int(config.get("n", 20000))
+    n = _sample_size(config, 20000)
     cfg = _sgld_config_from(config, n, seed=int(config.get("seed", 0)))
     A = float(_require(config, "A"))
     B = float(_require(config, "B"))
@@ -419,8 +426,12 @@ def cmd_examples(args) -> int:
         raise FileNotFoundError(f"corpus file {corpus_path}")
     stream = corpus_mod.read_token_stream(corpus_path)
     op = _load_operator(config)
-    dec = weighted_svd(op)
     component = int(config.get("component", 0))
+    # The leading component + 1 triples serve a positive mode; a kernel or
+    # out-of-range component needs the full decomposition.
+    dec = truncated_weighted_svd(op, rank=max(component, 0) + 1)
+    if component >= dec.n_plus:
+        dec = weighted_svd(op)
     examples = corpus_mod.extract_contextual_examples(
         stream, dec, component,
         window=int(config.get("window", 50)),

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .distribution import ConditionalOperator
+from .modes import ModeDecomposition
 
 Sequence = tuple[int, ...]
 
@@ -217,7 +218,8 @@ def _encode(labels, width: int, alphabet_size: int) -> np.ndarray:
 
 
 def extract_contextual_examples(
-    stream: TokenStream, dec, component: int, window: int = 50, loading_fraction: float = 0.1
+    stream: TokenStream, dec: ModeDecomposition, component: int, window: int = 50,
+    loading_fraction: float = 0.1,
 ) -> list[tuple[tuple[int, ...], Sequence, Sequence, tuple[int, ...]]]:
     """Corpus occurrences illustrating one singular component.
 
@@ -227,7 +229,7 @@ def extract_contextual_examples(
     nothing matches. Returns (before, x, y, after) context tuples; empty list
     when the pair never occurs even at the widest band.
     """
-    if component < 0 or component >= dec.singular_values.shape[0]:
+    if component < 0 or component >= dec.n_modes:
         raise CorpusError(f"component {component} out of range")
     if not 0 < loading_fraction <= 1:
         raise CorpusError("loading_fraction must be in (0, 1]")

@@ -66,6 +66,8 @@ class Language:
             raise DistributionError(
                 f"joint shape {joint.shape} does not match Σ^{self.K} = {expected}"
             )
+        if not np.all(np.isfinite(joint)):
+            raise DistributionError("joint probabilities must be finite")
         if np.any(joint < 0):
             raise DistributionError("joint probabilities must be non-negative")
         total = float(joint.sum())

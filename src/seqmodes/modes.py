@@ -5,7 +5,9 @@ as a map from the inner-product space with weights q(x)^{-1} to the plain
 dot-product space on continuations. Computationally this is the ordinary SVD
 of C·diag(q^{1/2}): right singular vectors are stored in these "D-coordinates"
 ṽ_α (unit in the dot product), and the original-coordinate evaluations are
-recovered via v̂*_α(x) = ṽ_α(x)·q(x)^{-1/2}.
+recovered via v̂*_α(x) = ṽ_α(x)·q(x)^{-1/2}. The dense path returns every
+triple; the iterative path returns the leading ones in the same type, with
+the same sign convention.
 
 Also here: mode propensities, the orthonormal basis e_{αβ}(x)(y) =
 v̂*_α(x)·u_β(y) of the weighted function space, pairings of parametric models
@@ -15,7 +17,7 @@ tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, svds
@@ -40,7 +42,8 @@ class ModeDecomposition:
     complete them to an orthonormal basis of the continuation space
     (deterministic Gram-Schmidt over the standard basis). Sign convention:
     the largest-magnitude entry of u_α (of ṽ_α for zero modes and completion
-    vectors) is positive.
+    vectors) is positive. A partial decomposition (from
+    :func:`truncated_weighted_svd`) holds only the leading triples.
     """
 
     k: int
@@ -64,6 +67,11 @@ class ModeDecomposition:
         """|Λ⁺⁺| = dimension of the continuation space."""
         return self.left_vectors.shape[1]
 
+    @property
+    def complete(self) -> bool:
+        """Whether both bases are full rather than the leading columns only."""
+        return self.n_modes == len(self.marginal) and self.n_left == len(self.y_labels)
+
     def x_index(self, x) -> int:
         if isinstance(x, (int, np.integer)):
             return int(x)
@@ -79,14 +87,19 @@ class ModeDecomposition:
         return self.right_vectors / np.sqrt(self.marginal)[:, None]
 
 
+def _orient(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip paired columns of u and v together so the largest-|u| entry is positive.
+
+    Flipping ṽ_α with u_α keeps C ṽ_α = s_α u_α.
+    """
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    sign = np.where(top < 0, -1.0, 1.0)
+    return u * sign, v * sign
+
+
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns so the largest-magnitude entry of each is positive."""
-    vectors = vectors.copy()
-    for j in range(vectors.shape[1]):
-        idx = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[idx, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
+    return _orient(vectors, vectors)[0]
 
 
 def _complete_orthonormal(partial: np.ndarray, dim: int, tol: float = 1e-8) -> np.ndarray:
@@ -137,24 +150,13 @@ def weighted_svd(op: ConditionalOperator, rank_tol: float = DEFAULT_RANK_TOL) ->
     n_plus = int(np.sum(s_full > rank_tol * s_max)) if s_max > 0 else 0
     s_full[n_plus:] = 0.0  # kernel modes carry exact zeros
 
-    u_plus = _fix_signs(u[:, :n_plus])
-    # Flip ṽ with its u so C ṽ = s u is preserved; zero modes get their own sign rule.
-    v_cols = vt.copy()
-    for j in range(n_plus):
-        idx = int(np.argmax(np.abs(u[:, j])))
-        if u[idx, j] < 0:
-            v_cols[:, j] = -v_cols[:, j]
-    v_cols = np.column_stack([v_cols[:, :n_plus], _fix_signs(v_cols[:, n_plus:])]) \
-        if n_plus < n_x else v_cols[:, :n_x]
+    u_plus, v_plus = _orient(u[:, :n_plus], vt[:, :n_plus])
+    v_cols = np.column_stack([v_plus, _fix_signs(vt[:, n_plus:])])  # zero modes by their own ṽ
 
     # Descending s with deterministic tie-breaking: lexicographically smallest
     # index of the largest-magnitude entry (of u for positive modes, ṽ otherwise).
-    tie = np.empty(n_x, dtype=int)
-    for j in range(n_x):
-        if j < n_plus:
-            tie[j] = int(np.argmax(np.abs(u_plus[:, j])))
-        else:
-            tie[j] = int(np.argmax(np.abs(v_cols[:, j])))
+    tie = np.concatenate([np.argmax(np.abs(u_plus), axis=0),
+                          np.argmax(np.abs(v_cols[:, n_plus:]), axis=0)])
     order = np.lexsort((np.arange(n_x), tie, -s_full))
     # LAPACK already sorts descending; the lexsort only reorders exact ties,
     # and those never cross the Λ⁺/Λ⁰ boundary.
@@ -180,29 +182,13 @@ def weighted_svd(op: ConditionalOperator, rank_tol: float = DEFAULT_RANK_TOL) ->
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedDecomposition:
-    """Top-r singular triples only, for large empirical operators."""
-
-    k: int
-    l: int
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-    marginal: np.ndarray
-    x_labels: tuple[tuple[int, ...], ...]
-    y_labels: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_modes(self) -> int:
-        return self.singular_values.shape[0]
-
-
-def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> TruncatedDecomposition:
+def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDecomposition:
     """Top-``rank`` triples of the weighted operator via iterative sparse SVD.
 
-    Deterministic: the starting vector is fixed. Falls back to the dense path
-    when the requested rank does not leave svds room to iterate.
+    The result holds only the leading columns (see
+    :attr:`ModeDecomposition.complete`). Deterministic: the starting vector is
+    fixed. Falls back to the dense path when the requested rank does not leave
+    svds room to iterate.
     """
     n_y, n_x = op.matrix.shape
     sqrt_q = np.sqrt(op.marginal)
@@ -210,14 +196,8 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> Truncate
     if r >= min(n_x, n_y) - 1 or min(n_x, n_y) <= 2:
         dec = weighted_svd(op)
         r = min(rank, dec.n_plus) if dec.n_plus else min(rank, dec.n_modes)
-        return TruncatedDecomposition(
-            k=op.k, l=op.l,
-            singular_values=dec.singular_values[:r],
-            left_vectors=dec.left_vectors[:, :r],
-            right_vectors=dec.right_vectors[:, :r],
-            marginal=dec.marginal,
-            x_labels=op.x_labels, y_labels=op.y_labels,
-        )
+        return replace(dec, singular_values=dec.singular_values[:r], n_plus=min(r, dec.n_plus),
+                       left_vectors=dec.left_vectors[:, :r], right_vectors=dec.right_vectors[:, :r])
     mat = op.matrix
 
     def mv(x):
@@ -231,19 +211,13 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> Truncate
     u, s, vh = svds(linop, k=r, v0=v0)
     order = np.argsort(-s)
     s = s[order]
-    u = u[:, order]
-    vt = vh.T[:, order]
-    u = _fix_signs(u)
-    for j in range(r):
-        idx = int(np.argmax(np.abs(u[:, j])))
-        # svds-fixed u already sign-normalized; realign ṽ via C ṽ = s u.
-        proj = mat @ (sqrt_q * vt[:, j])
-        if s[j] > 0 and np.dot(proj, u[:, j]) < 0:
-            vt[:, j] = -vt[:, j]
-    return TruncatedDecomposition(
+    u, vt = _orient(u[:, order], vh.T[:, order])
+    return ModeDecomposition(
         k=op.k, l=op.l,
         singular_values=s, left_vectors=u, right_vectors=vt,
         marginal=op.marginal.copy(),
+        rank_tol=DEFAULT_RANK_TOL,
+        n_plus=int(np.sum(s > DEFAULT_RANK_TOL * s[0])),
         x_labels=op.x_labels, y_labels=op.y_labels,
     )
 
@@ -358,14 +332,14 @@ def pair_model_with_mode(model_conditional, dec: ModeDecomposition, alpha: int, 
     return float(np.sum(dec.marginal * vhat_alpha * per_x))
 
 
-def decomposition_summary(dec, top_components: int = 0, top_loadings: int = 8) -> dict:
+def decomposition_summary(dec: ModeDecomposition, top_components: int = 0,
+                          top_loadings: int = 8) -> dict:
     """JSON-ready summary: singular values plus top loadings per component.
 
-    Works for both the full and the truncated decomposition objects; loadings
-    are (label, value) pairs ordered by magnitude, mirroring the usual
-    coefficient-times-token presentation of empirical components.
+    Loadings are (label, value) pairs ordered by magnitude, mirroring the
+    usual coefficient-times-token presentation of empirical components.
     """
-    n = len(dec.singular_values)
+    n = dec.n_modes
     limit = min(n, top_components) if top_components > 0 else n
 
     def loadings(vec, labels):
@@ -374,13 +348,12 @@ def decomposition_summary(dec, top_components: int = 0, top_loadings: int = 8) -
 
     components = []
     for alpha in range(limit):
-        left = dec.left_vectors[:, alpha] if alpha < dec.left_vectors.shape[1] else None
-        right = dec.right_vectors[:, alpha] if alpha < dec.right_vectors.shape[1] else None
+        left = loadings(dec.left_vectors[:, alpha], dec.y_labels) if alpha < dec.n_left else []
         components.append({
             "index": alpha,
             "singular_value": float(dec.singular_values[alpha]),
-            "left_loadings": loadings(left, dec.y_labels) if left is not None else [],
-            "right_loadings": loadings(right, dec.x_labels) if right is not None else [],
+            "left_loadings": left,
+            "right_loadings": loadings(dec.right_vectors[:, alpha], dec.x_labels),
         })
     return {
         "k": dec.k,

@@ -78,10 +78,16 @@ class EffectiveDistribution:
 
 def _retained(dec: ModeDecomposition, chi: int) -> tuple[int, int]:
     """Numbers (a, b) of retained right and left indices: α < a, β < b."""
-    return min(chi, dec.n_modes - 1) + 1, min(chi, dec.n_plus - 1) + 1
+    return chi + 1, min(chi, dec.n_plus - 1) + 1
 
 
 def _check_chi(dec: ModeDecomposition, chi: int) -> None:
+    # Truncation needs the full basis: chi ≥ n_modes − 1 means full retention.
+    if not dec.complete:
+        raise TruncationError(
+            f"truncation needs a complete decomposition; this one holds {dec.n_modes} "
+            f"of {len(dec.marginal)} modes"
+        )
     if not 0 <= chi < dec.n_modes:
         raise TruncationError(f"chi must be in [0, {dec.n_modes}), got {chi}")
 
@@ -91,6 +97,7 @@ def project_leq_chi(dec: ModeDecomposition, f: np.ndarray, chi: int) -> np.ndarr
 
     Retained indices: α ≤ chi over all modes, β ≤ chi over positive modes.
     """
+    _check_chi(dec, chi)
     a, b = _retained(dec, chi)
     kept = np.zeros((dec.n_modes, dec.n_left))
     kept[:a, :b] = mode_coefficients(dec, f)[:a, :b]

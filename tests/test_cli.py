@@ -179,6 +179,14 @@ class TestTruncate:
         assert code == 0
         assert "normalized false" in (out / "effective.tsv").read_text()
 
+    @pytest.mark.parametrize("chi", ["-1", "7"])
+    def test_projection_only_checks_chi(self, fixture_language, tmp_path, capsys, chi):
+        code = main(["truncate", "--language", str(fixture_language), "--k", "1",
+                     "--l", "1", "--chi", chi, "--solver", "projection_only",
+                     "--out", str(tmp_path / "tr")])
+        assert code == 2
+        assert f"input error: chi must be in [0, 3), got {chi}" in capsys.readouterr().err
+
 
 class TestLlcAndCouple:
     def test_llc_runs(self, fixture_language, tmp_path):
@@ -228,6 +236,18 @@ class TestLlcAndCouple:
                      "--chi", "1", "--n-seeds", "0", "--out", str(tmp_path / "couple")])
         assert code == 2
         assert "input error: n_seeds must be at least 1, got 0" in capsys.readouterr().err
+
+    def test_llc_negative_n_exit_2(self, fixture_language, tmp_path, capsys):
+        code = main(["llc", "--language", str(fixture_language), "--k", "1", "--l", "1",
+                     "--n", "-5", "--out", str(tmp_path / "llc")])
+        assert code == 2
+        assert "input error: n must be at least 1, got -5" in capsys.readouterr().err
+
+    def test_couple_zero_n_exit_2(self, fixture_language, tmp_path, capsys):
+        code = main(["couple", "--language", str(fixture_language), "--k", "1", "--l", "1",
+                     "--chi", "1", "--n", "0", "--out", str(tmp_path / "couple")])
+        assert code == 2
+        assert "input error: n must be at least 1, got 0" in capsys.readouterr().err
 
 
 class TestInputErrors:
@@ -321,6 +341,12 @@ class TestBounds:
         payload = json.loads((out / "bounds.json").read_text())
         assert payload["g_final"] == table[-1]
 
+    def test_zero_n_exit_2(self, tmp_path, capsys):
+        code = main(["bounds", "--A", "1", "--B", "0.01", "--Q", "5", "--M", "20",
+                     "--n", "0", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "input error: n must be at least 1, got 0" in capsys.readouterr().err
+
     def test_window_violation_exit_2(self, tmp_path, capsys):
         out = tmp_path / "b"
         code = main(["bounds", "--A", "1", "--B", "0.01", "--Q", "5", "--M", "40",
@@ -343,6 +369,20 @@ class TestExamples:
         assert code == 0
         text = (out / "contextual_examples.txt").read_text()
         assert text.startswith("component 0:")
+
+    def test_leading_component_skips_dense_svd(self, fixture_corpus, tmp_path, monkeypatch):
+        counts_out = tmp_path / "counts"
+        assert main(["ingest", "--corpus", str(fixture_corpus), "--k", "1", "--l", "1",
+                     "--out", str(counts_out)]) == 0
+
+        def fail(op):
+            raise AssertionError("component 0 needs only the leading triple")
+
+        monkeypatch.setattr(cli, "weighted_svd", fail)
+        code = main(["examples", "--corpus", str(fixture_corpus),
+                     "--counts", str(counts_out / "counts.tsv"),
+                     "--component", "0", "--out", str(tmp_path / "ex")])
+        assert code == 0
 
 
 class TestPipelineDeterminism:

@@ -19,7 +19,7 @@ from seqmodes.corpus import (
     write_count_table,
     write_token_stream,
 )
-from seqmodes.modes import weighted_svd
+from seqmodes.modes import ModeDecomposition, weighted_svd
 
 
 def make_stream(*docs, alphabet_size=None):
@@ -296,14 +296,14 @@ class TestContextualExamples:
     def test_band_relaxes_to_wider_threshold(self):
         # hand-built component: the max-loading context never occurs in the
         # corpus, but a 0.6-loading one does, reachable only at the 50% band
-        from seqmodes.modes import TruncatedDecomposition
-
-        dec = TruncatedDecomposition(
+        dec = ModeDecomposition(
             k=1, l=1,
             singular_values=np.array([1.0]),
             left_vectors=np.array([[0.1], [0.99]]),
             right_vectors=np.array([[1.0], [0.6]]),
             marginal=np.array([0.5, 0.5]),
+            rank_tol=1e-12,
+            n_plus=1,
             x_labels=((0,), (1,)),
             y_labels=((0,), (1,)),
         )
@@ -316,14 +316,14 @@ class TestContextualExamples:
 
     def test_labels_outside_alphabet_never_match(self):
         # in base 3, the context (0, 4) would share code 4 with (1, 1)
-        from seqmodes.modes import TruncatedDecomposition
-
-        dec = TruncatedDecomposition(
+        dec = ModeDecomposition(
             k=2, l=1,
             singular_values=np.array([1.0]),
             left_vectors=np.array([[0.1], [0.99]]),
             right_vectors=np.array([[1.0], [0.3]]),
             marginal=np.array([0.5, 0.5]),
+            rank_tol=1e-12,
+            n_plus=1,
             x_labels=((0, 4), (1, 1)),
             y_labels=((0,), (1,)),
         )

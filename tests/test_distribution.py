@@ -266,3 +266,11 @@ class TestLanguageValidation:
     def test_rejects_zero_unigram_when_strict(self):
         with pytest.raises(DistributionError):
             Language(alphabet=Alphabet(2), K=1, joint=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes both the sign and the sum check, so it needs its own
+        joint = np.full((2, 2), 0.25)
+        joint[0, 1] = bad
+        with pytest.raises(DistributionError, match="joint probabilities must be finite"):
+            Language(alphabet=Alphabet(2), K=2, joint=joint, positivity_relaxed=True)

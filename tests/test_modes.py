@@ -353,6 +353,27 @@ class TestTruncatedPath:
             part.singular_values, full.singular_values[: part.n_modes], atol=1e-9
         )
 
+    @pytest.mark.parametrize("rank", [2, 3], ids=["svds", "dense_fallback"])
+    def test_pairs_oriented_by_u(self, rank):
+        # rank 2 of a 4×4 operator runs svds; rank 3 leaves it no room and
+        # slices the dense decomposition
+        op = conditional_operator(random_language(17, Alphabet(4), 2), 1, 1)
+        part = truncated_weighted_svd(op, rank=rank)
+        assert part.n_modes == rank and not part.complete
+        b = op.matrix * np.sqrt(op.marginal)[None, :]
+        np.testing.assert_allclose(b @ part.right_vectors,
+                                   part.left_vectors * part.singular_values[None, :],
+                                   atol=1e-12)
+        top = np.argmax(np.abs(part.left_vectors), axis=0)
+        assert np.all(part.left_vectors[top, np.arange(rank)] > 0)
+
+    def test_partial_reconstruction_matches_full_cutoff(self):
+        op = conditional_operator(random_language(17, Alphabet(4), 2), 1, 1)
+        part, full = truncated_weighted_svd(op, rank=2), weighted_svd(op)
+        assert part.n_plus == 2 and full.complete
+        np.testing.assert_allclose(reconstruct_matrix(part), reconstruct_matrix(full, chi=1),
+                                   atol=1e-10)
+
     def test_deterministic(self):
         lang = random_language(18, Alphabet(4), 3)
         op = conditional_operator(lang, 2, 1)

@@ -18,6 +18,7 @@ from seqmodes.modes import (
     hs_norm,
     mode_coefficients,
     reconstruct_matrix,
+    truncated_weighted_svd,
     weighted_svd,
 )
 from seqmodes.truncation import (
@@ -255,6 +256,15 @@ class TestCertifiedSolve:
             with pytest.raises(TruncationError, match=message):
                 truncate(dec, chi, solver)
         assert truncate(dec, 1).provenance == truncate_kl(dec, 1).provenance
+
+    def test_partial_decomposition_rejected(self):
+        op = conditional_operator(random_doubly_stochastic_language(0, 4), 1, 1)
+        part = truncated_weighted_svd(op, rank=2)
+        for solver in ("kl", "normalized"):
+            with pytest.raises(TruncationError, match="complete decomposition"):
+                truncate(part, 1, solver)
+        with pytest.raises(TruncationError, match="complete decomposition"):
+            project_leq_chi(part, op.matrix, 1)
 
     def test_zero_margin_is_not_certified(self):
         with pytest.raises(InfeasibleTruncationError) as err:

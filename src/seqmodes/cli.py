@@ -192,7 +192,7 @@ def cmd_decompose(args) -> int:
     if rank is not None and int(rank) < 1:
         raise ConfigError(f"rank must be at least 1, got {rank}")
     op = _load_operator(config)
-    if rank is not None and int(rank) < min(op.matrix.shape):
+    if rank is not None and int(rank) < min(op.n_y, op.n_x):
         dec = truncated_weighted_svd(op, rank=int(rank))
         requested = int(rank)
     else:

@@ -3,7 +3,8 @@
 Counts (context, continuation) windows with stride 1 inside each document
 (windows never cross document boundaries), applies the two-stage frequency
 filter (contexts first, then continuations among retained contexts), and
-builds Laplace-smoothed conditional probability matrices. Two counting
+builds Laplace-smoothed conditional operators that keep the counts sparse
+(see :class:`~seqmodes.distribution.ConditionalOperator`). Two counting
 policies are supported: "paper" divides by the raw context occurrence count,
 which leaves columns sub-stochastic once continuations have been filtered;
 "stochastic" divides by the retained-row sum so every column is exactly
@@ -25,11 +26,14 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .distribution import ConditionalOperator
 from .modes import ModeDecomposition
 
 Sequence = tuple[int, ...]
+
+TIE_RTOL = 1e-12  # loadings this close (relative to the largest) count as tied
 
 
 class CorpusError(ValueError):
@@ -175,13 +179,17 @@ def stream_ngram_counts(
 def build_conditional_matrix(
     counts: CountTable, lambda_smooth: float = 0.0, policy: str = "stochastic"
 ) -> ConditionalOperator:
-    """Smoothed conditional probability matrix P(y|x) from a count table.
+    """Smoothed conditional operator P(y|x) from a count table, kept sparse.
 
     P(y|x) = (count(x,y) + λ) / (count(x) + λ|Y|). Under ``stochastic``,
     count(x) is the retained-row sum so columns are exactly normalized;
     under ``paper``, count(x) is the raw occurrence count and columns may
     sum to less than one. The marginal is the renormalized raw context count
     either way. Contexts left without any retained continuation are dropped.
+
+    The operator holds the count matrix R as a CSR array filled straight from
+    the sorted pair codes, with d = count(x) + λ|Y| and λ; no dense array is
+    allocated until ``matrix`` is read.
     """
     if lambda_smooth < 0:
         raise CorpusError("lambda_smooth must be >= 0")
@@ -190,19 +198,22 @@ def build_conditional_matrix(
     if not counts.xy_counts.size:
         raise CorpusError("empty table: all counts were filtered away")
 
-    used, col = np.unique(np.searchsorted(counts.x_codes, counts.xy_codes[:, 0]),
-                          return_inverse=True)
+    # Pairs are sorted by context, so each used context's pairs are one run:
+    # the runs' starts are the column pointers of R in compressed-column form.
+    x_rank = np.searchsorted(counts.x_codes, counts.xy_codes[:, 0])
+    starts = np.flatnonzero(np.diff(x_rank, prepend=-1))
+    used = x_rank[starts]
     y_codes, row = np.unique(counts.xy_codes[:, 1], return_inverse=True)
-    matrix = np.zeros((y_codes.size, used.size))  # raw counts, then smoothed in place
-    matrix[row, col] = counts.xy_counts
+    raw = sparse.csc_array((counts.xy_counts.astype(float), row, np.append(starts, row.size)),
+                           shape=(y_codes.size, used.size)).tocsr()
     x_raw = counts.x_counts[used].astype(float)
-    denom_counts = matrix.sum(axis=0) if policy == "stochastic" else x_raw
-    matrix += lambda_smooth
-    matrix /= (denom_counts + lambda_smooth * y_codes.size)[None, :]
+    totals = np.add.reduceat(counts.xy_counts, starts).astype(float)
+    denom_counts = totals if policy == "stochastic" else x_raw
     marginal = x_raw / x_raw.sum()
     size = counts.alphabet_size
     return ConditionalOperator(
-        k=counts.k, l=counts.l, matrix=matrix, marginal=marginal,
+        k=counts.k, l=counts.l, raw=raw, denom=denom_counts + lambda_smooth * y_codes.size,
+        marginal=marginal, smoothing=lambda_smooth,
         x_labels=tuple(map(tuple, _decode(counts.x_codes[used], counts.k, size))),
         y_labels=tuple(map(tuple, _decode(y_codes, counts.l, size))),
         meta={"policy": policy, "lambda_smooth": lambda_smooth, "min_count": counts.min_count,
@@ -223,18 +234,24 @@ def extract_contextual_examples(
 ) -> list[tuple[tuple[int, ...], Sequence, Sequence, tuple[int, ...]]]:
     """Corpus occurrences illustrating one singular component.
 
-    The continuation is the top-loaded entry of the component's left vector;
-    contexts are those whose right-vector loading magnitude is within
-    ``loading_fraction`` of the maximum, relaxing in 10% bands up to 50% if
-    nothing matches. Returns (before, x, y, after) context tuples; empty list
-    when the pair never occurs even at the widest band.
+    The continuation is the top-loaded entry of the component's left vector:
+    among entries whose |u_α| lies within ``TIE_RTOL``·max|u_α| of the
+    maximum, the lowest index, so exactly tied loadings do not turn on the
+    last bits of one SVD path or another. Contexts are those whose
+    right-vector loading magnitude is within ``loading_fraction`` of the
+    maximum, relaxing in 10% bands up to 50% if nothing matches. Returns
+    (before, x, y, after) context tuples; empty list when the pair never
+    occurs even at the widest band.
     """
     if component < 0 or component >= dec.n_modes:
         raise CorpusError(f"component {component} out of range")
+    if component >= dec.n_left:
+        raise CorpusError(f"component {component} has no left vector: the continuation "
+                          f"space has {dec.n_left} dimensions")
     if not 0 < loading_fraction <= 1:
         raise CorpusError("loading_fraction must be in (0, 1]")
-    left, right = dec.left_vectors[:, component], dec.right_vectors[:, component]
-    top_y = dec.y_labels[int(np.argmax(np.abs(left)))]
+    left, right = np.abs(dec.left_vectors[:, component]), dec.right_vectors[:, component]
+    top_y = dec.y_labels[int(np.argmax(left >= (1.0 - TIE_RTOL) * left.max()))]
     max_mag = float(np.max(np.abs(right)))
     if max_mag == 0:
         return []

@@ -13,12 +13,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from ._streams import LANGUAGE_TAG, keyed_generator
 
 JOINT_ATOL = 1e-12
+DENSE_CELLS = 1 << 27  # cells a dense conditional matrix may hold (1 GiB of float64)
 
 
 class DistributionError(ValueError):
@@ -141,9 +144,24 @@ def check_language(family: list[np.ndarray]) -> float:
     return worst
 
 
+def _frozen(values) -> np.ndarray:
+    """Read-only, C-ordered float copy."""
+    values = np.array(values, dtype=float, order="C")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalOperator:
     """Matrix of q(y|x): rows indexed by y ∈ Σ^l, columns by x ∈ Σ^k.
+
+    The entries are held in one form, P = R·diag(1/d) + λ·1·(1/d)ᵀ, that is
+    P[y, x] = (R[y, x] + λ) / d[x]. For an operator built from a count table,
+    R (``raw``) is the raw count matrix as a ``scipy.sparse.csr_array``, d
+    (``denom``) the smoothed column denominators and λ (``smoothing``) the
+    Laplace constant; for an exact language, R is the dense conditional, with
+    d = 1 and λ = 0. ``matrix`` is the dense P, built on first use (within
+    ``DENSE_CELLS``) and cached; products with P need only R, d and λ.
 
     ``marginal`` holds q(x) for the retained columns. Columns are stochastic
     except under the corpus module's raw-occurrence ("paper") counting
@@ -152,28 +170,30 @@ class ConditionalOperator:
 
     k: int
     l: int
-    matrix: np.ndarray
+    raw: np.ndarray | sparse.csr_array
+    denom: np.ndarray
     marginal: np.ndarray
     x_labels: tuple[tuple[int, ...], ...]
     y_labels: tuple[tuple[int, ...], ...]
+    smoothing: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        marginal = np.asarray(self.marginal, dtype=float)
-        if matrix.shape != (len(self.y_labels), len(self.x_labels)):
+        raw = (sparse.csr_array(self.raw, dtype=float) if sparse.issparse(self.raw)
+               else _frozen(self.raw))
+        denom, marginal = _frozen(self.denom), _frozen(self.marginal)
+        if raw.shape != (self.n_y, self.n_x):
             raise DistributionError("matrix shape does not match labels")
-        if marginal.shape != (len(self.x_labels),):
+        if denom.shape != (self.n_x,) or np.any(denom <= 0):
+            raise DistributionError("column denominators must be positive, one per x label")
+        if marginal.shape != (self.n_x,):
             raise DistributionError("marginal shape does not match x labels")
         if np.any(marginal <= 0):
             raise ZeroProbabilityError("operator marginal must be strictly positive")
         if abs(marginal.sum() - 1.0) > JOINT_ATOL:
             raise DistributionError("operator marginal must sum to 1")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
-        marginal = marginal.copy()
-        marginal.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "marginal", marginal)
 
     @property
@@ -183,6 +203,21 @@ class ConditionalOperator:
     @property
     def n_y(self) -> int:
         return len(self.y_labels)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense, read-only P = (R + λ)/d; refused above ``DENSE_CELLS`` cells."""
+        cells = self.n_y * self.n_x
+        if cells > DENSE_CELLS:
+            raise DistributionError(
+                f"a dense {self.n_y}×{self.n_x} operator would need "
+                f"{cells * 8 / 2**30:.3g} GiB, above the budget of {DENSE_CELLS} cells; "
+                "`decompose --rank` finds the leading modes without it")
+        dense = self.raw.toarray() if sparse.issparse(self.raw) else np.array(self.raw)
+        dense += self.smoothing
+        dense /= self.denom[None, :]
+        dense.setflags(write=False)
+        return dense
 
     def max_column_defect(self) -> float:
         return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
@@ -213,9 +248,9 @@ def conditional_operator(lang: Language, k: int, l: int) -> ConditionalOperator:
         joint_kl = joint_kl[positive]
         q_x = q_x[positive]
         x_labels = tuple(lab for lab, keep in zip(x_labels, positive) if keep)
-    matrix = (joint_kl / q_x[:, None]).T
     return ConditionalOperator(
-        k=k, l=l, matrix=matrix, marginal=q_x, x_labels=x_labels, y_labels=y_labels
+        k=k, l=l, raw=(joint_kl / q_x[:, None]).T, denom=np.ones(q_x.size), marginal=q_x,
+        x_labels=x_labels, y_labels=y_labels,
     )
 
 

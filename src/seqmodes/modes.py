@@ -7,7 +7,9 @@ of C·diag(q^{1/2}): right singular vectors are stored in these "D-coordinates"
 ṽ_α (unit in the dot product), and the original-coordinate evaluations are
 recovered via v̂*_α(x) = ṽ_α(x)·q(x)^{-1/2}. The dense path returns every
 triple; the iterative path returns the leading ones in the same type, with
-the same sign convention.
+the same sign convention, and reaches the operator only through products
+with its factored form (sparse counts for a corpus operator), never through
+the dense matrix.
 
 Also here: mode propensities, the orthonormal basis e_{αβ}(x)(y) =
 v̂*_α(x)·u_β(y) of the weighted function space, pairings of parametric models
@@ -186,25 +188,29 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDeco
     """Top-``rank`` triples of the weighted operator via iterative sparse SVD.
 
     The result holds only the leading columns (see
-    :attr:`ModeDecomposition.complete`). Deterministic: the starting vector is
-    fixed. Falls back to the dense path when the requested rank does not leave
-    svds room to iterate.
+    :attr:`ModeDecomposition.complete`). svds sees C·diag(√q) only through
+    products over the operator's own form, R·diag(s)·x + λ·(sᵀx)·1 with
+    s = √q/d, so its cost follows the nonzeros of R and no dense matrix is
+    built. Deterministic: the starting vector is fixed. Falls back to the
+    dense path when the requested rank does not leave svds room to iterate.
     """
-    n_y, n_x = op.matrix.shape
-    sqrt_q = np.sqrt(op.marginal)
+    n_y, n_x = op.n_y, op.n_x
     r = min(rank, n_x, n_y)
     if r >= min(n_x, n_y) - 1 or min(n_x, n_y) <= 2:
         dec = weighted_svd(op)
         r = min(rank, dec.n_plus) if dec.n_plus else min(rank, dec.n_modes)
         return replace(dec, singular_values=dec.singular_values[:r], n_plus=min(r, dec.n_plus),
                        left_vectors=dec.left_vectors[:, :r], right_vectors=dec.right_vectors[:, :r])
-    mat = op.matrix
+    raw, lam = op.raw, op.smoothing
+    scale = np.sqrt(op.marginal) / op.denom
 
     def mv(x):
-        return mat @ (sqrt_q * np.asarray(x).ravel())
+        x = scale * np.asarray(x).ravel()
+        return raw @ x + lam * x.sum()
 
     def rmv(y):
-        return sqrt_q * (mat.T @ np.asarray(y).ravel())
+        y = np.asarray(y).ravel()
+        return scale * (raw.T @ y + lam * y.sum())
 
     linop = LinearOperator((n_y, n_x), matvec=mv, rmatvec=rmv)
     v0 = np.full(min(n_x, n_y), 1.0) / np.sqrt(min(n_x, n_y))

@@ -12,6 +12,7 @@ from seqmodes import cli
 from seqmodes.cli import main
 from seqmodes.corpus import write_token_stream
 from seqmodes.distribution import (
+    ConditionalOperator,
     language_to_json,
     random_doubly_stochastic_language,
     random_language,
@@ -111,6 +112,20 @@ class TestDecompose:
         assert code == 2
         assert f"input error: rank must be at least 1, got {rank}" in capsys.readouterr().err
 
+    def test_rank_on_counts_never_densifies(self, fixture_corpus, tmp_path, monkeypatch):
+        counts_out = tmp_path / "counts"
+        assert main(["ingest", "--corpus", str(fixture_corpus), "--k", "2", "--l", "2",
+                     "--out", str(counts_out)]) == 0
+
+        def fail(op):
+            raise AssertionError("the truncated path needs no dense operator")
+
+        monkeypatch.setattr(ConditionalOperator, "matrix", property(fail))
+        out = tmp_path / "dec"
+        assert main(["decompose", "--counts", str(counts_out / "counts.tsv"), "--rank", "2",
+                     "--out", str(out)]) == 0
+        assert len(json.loads((out / "decomposition.json").read_text())["singular_values"]) == 2
+
 
 class TestParser:
     def test_parser_built_once_and_configs_independent(self, fixture_language, tmp_path,
@@ -178,6 +193,18 @@ class TestTruncate:
                      "--out", str(out)])
         assert code == 0
         assert "normalized false" in (out / "effective.tsv").read_text()
+
+    def test_dense_budget_exit_2(self, fixture_corpus, tmp_path, capsys, monkeypatch):
+        counts_out = tmp_path / "counts"
+        assert main(["ingest", "--corpus", str(fixture_corpus), "--k", "1", "--l", "1",
+                     "--out", str(counts_out)]) == 0
+        monkeypatch.setattr("seqmodes.distribution.DENSE_CELLS", 8)
+        code = main(["truncate", "--counts", str(counts_out / "counts.tsv"), "--chi", "1",
+                     "--out", str(tmp_path / "tr")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "input error: a dense 3×3 operator would need" in err
+        assert "GiB" in err and "decompose --rank" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("chi", ["-1", "7"])
     def test_projection_only_checks_chi(self, fixture_language, tmp_path, capsys, chi):
@@ -383,6 +410,18 @@ class TestExamples:
                      "--counts", str(counts_out / "counts.tsv"),
                      "--component", "0", "--out", str(tmp_path / "ex")])
         assert code == 0
+
+    def test_component_without_left_vector_exit_2(self, tmp_path, capsys):
+        # three contexts, two continuations: component 2 is a kernel mode
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("#alphabet 3\n0 1 0\n2 1\n")
+        assert main(["ingest", "--corpus", str(corpus), "--k", "1", "--l", "1",
+                     "--out", str(tmp_path / "counts")]) == 0
+        code = main(["examples", "--corpus", str(corpus),
+                     "--counts", str(tmp_path / "counts" / "counts.tsv"),
+                     "--component", "2", "--out", str(tmp_path / "ex")])
+        assert code == 2
+        assert "input error: component 2 has no left vector" in capsys.readouterr().err
 
 
 class TestPipelineDeterminism:

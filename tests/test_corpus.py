@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from _fixtures import sample_bigram_corpus
 from seqmodes.corpus import (
     CorpusError,
     CountTable,
@@ -19,7 +21,12 @@ from seqmodes.corpus import (
     write_count_table,
     write_token_stream,
 )
-from seqmodes.modes import ModeDecomposition, weighted_svd
+from seqmodes.distribution import (
+    DistributionError,
+    conditional_operator,
+    random_doubly_stochastic_language,
+)
+from seqmodes.modes import ModeDecomposition, truncated_weighted_svd, weighted_svd
 
 
 def make_stream(*docs, alphabet_size=None):
@@ -261,6 +268,81 @@ class TestBuildConditionalMatrix:
         np.testing.assert_allclose(op.marginal, [0.25, 0.75])
 
 
+def markov_stream(seed: int, size: int = 20, docs: int = 100, length: int = 200) -> TokenStream:
+    """Documents mixing a Zipf unigram 50/50 with a fixed four-successor table."""
+    rng = np.random.default_rng(seed)
+    successors = rng.integers(0, size, size=(size, 4))
+    unigram = np.arange(1, size + 1, dtype=float) ** -1.1
+    unigram /= unigram.sum()
+    records = []
+    for _ in range(docs):
+        doc = [int(rng.choice(size, p=unigram))]
+        for _ in range(length - 1):
+            fresh = rng.random() < 0.5
+            doc.append(int(rng.choice(size, p=unigram)) if fresh
+                       else int(successors[doc[-1], rng.integers(4)]))
+        records.append(tuple(doc))
+    return TokenStream(records=tuple(records), alphabet_size=size)
+
+
+def dense_reference(table: CountTable, lam: float, policy: str) -> np.ndarray:
+    """P(y|x) = (count(x,y) + λ)/(count(x) + λ|Y|) on a dense array, cell by cell."""
+    used, col = np.unique(np.searchsorted(table.x_codes, table.xy_codes[:, 0]),
+                          return_inverse=True)
+    y_codes, row = np.unique(table.xy_codes[:, 1], return_inverse=True)
+    matrix = np.zeros((y_codes.size, used.size))
+    matrix[row, col] = table.xy_counts
+    denom = matrix.sum(axis=0) if policy == "stochastic" else table.x_counts[used].astype(float)
+    matrix += lam
+    matrix /= (denom + lam * y_codes.size)[None, :]
+    return matrix
+
+
+class TestCountsOperator:
+    """The operator from counts: sparse R, column denominators d and λ."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-5, 1.0])
+    @pytest.mark.parametrize("policy", ["stochastic", "paper"])
+    def test_matrix_bitwise_equals_dense_reference(self, policy, lam):
+        # min_y_count 3 drops continuations, so "paper" columns fall short of 1
+        table = stream_ngram_counts(markov_stream(0, docs=20), 1, 1, min_count=2, min_y_count=3)
+        op = build_conditional_matrix(table, lam, policy)
+        expected = dense_reference(table, lam, policy)
+        assert op.matrix.shape == expected.shape
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert not op.matrix.flags.writeable
+
+    def test_counts_stay_sparse_until_matrix_is_read(self):
+        table = stream_ngram_counts(markov_stream(0, docs=20), 2, 1, min_count=2)
+        op = build_conditional_matrix(table, 1e-5)
+        assert isinstance(op.raw, sparse.csr_array) and op.raw.nnz == table.xy_counts.size
+        assert op.smoothing == 1e-5 and "matrix" not in vars(op)
+        assert op.matrix is op.matrix  # built once, then cached
+
+    def test_matrix_over_budget_raises_before_allocating(self, monkeypatch):
+        table = stream_ngram_counts(markov_stream(0, docs=20), 1, 1)
+        op = build_conditional_matrix(table, 1e-5)
+        monkeypatch.setattr("seqmodes.distribution.DENSE_CELLS", op.n_y * op.n_x - 1)
+        with pytest.raises(DistributionError, match=rf"dense {op.n_y}×{op.n_x} .* GiB.*"
+                                                    r"decompose --rank"):
+            op.matrix
+        assert "matrix" not in vars(op)
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (2, 2)])
+    def test_truncated_svd_matches_dense_oracle(self, k, l):
+        table = stream_ngram_counts(markov_stream(1), k, l, min_count=2, min_y_count=2)
+        op = build_conditional_matrix(table, 1e-5)
+        rank = 8
+        assert rank < min(op.n_y, op.n_x) - 1  # leaves svds room to iterate
+        dec = truncated_weighted_svd(op, rank=rank)
+        b = op.matrix * np.sqrt(op.marginal)[None, :]
+        np.testing.assert_allclose(b @ dec.right_vectors,
+                                   dec.left_vectors * dec.singular_values[None, :],
+                                   rtol=0, atol=1e-12)
+        oracle = np.linalg.svd(b, compute_uv=False)[:rank]
+        assert np.max(np.abs(dec.singular_values - oracle) / oracle) < 1e-12
+
+
 class TestContextualExamples:
     def build(self, *docs, k=1, l=1, alphabet_size=None):
         stream = make_stream(*docs, alphabet_size=alphabet_size)
@@ -286,6 +368,23 @@ class TestContextualExamples:
         examples = extract_contextual_examples(stream, dec, 0, window=1)
         xs = {x for _, x, _, _ in examples}
         assert (0,) in xs and (1,) in xs
+
+    def test_tied_loadings_same_examples_on_both_paths(self):
+        # the top component of a doubly stochastic operator is constant: its
+        # three |u| entries tie, and the lowest-index continuation is taken
+        lang = random_doubly_stochastic_language(7, 3)
+        op = conditional_operator(lang, 1, 1)
+        stream = sample_bigram_corpus(lang, n_docs=20, doc_len=30, seed=1)
+        dense, part = weighted_svd(op), truncated_weighted_svd(op, rank=1)
+        examples = extract_contextual_examples(stream, dense, 0, window=1)
+        assert examples == extract_contextual_examples(stream, part, 0, window=1)
+        assert {y for _, _, y, _ in examples} == {(0,)}
+
+    def test_component_without_left_vector_raises(self):
+        stream, dec = self.build([0, 1, 0], [2, 1], alphabet_size=3)
+        assert (dec.n_modes, dec.n_left) == (3, 2)
+        with pytest.raises(CorpusError, match="component 2 has no left vector"):
+            extract_contextual_examples(stream, dec, 2)
 
     def test_window_size(self):
         stream, dec = self.build([0, 1, 0, 1, 0, 1])

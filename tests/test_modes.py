@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, svds
 
 from seqmodes.distribution import (
     Alphabet,
@@ -8,6 +9,7 @@ from seqmodes.distribution import (
     fundamental_tensor,
     plant_absolute_bigram,
     plant_collective_bigram,
+    random_doubly_stochastic_language,
     random_language,
 )
 from seqmodes.modes import (
@@ -373,6 +375,31 @@ class TestTruncatedPath:
         assert part.n_plus == 2 and full.complete
         np.testing.assert_allclose(reconstruct_matrix(part), reconstruct_matrix(full, chi=1),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_language_operators_match_dense_products_bitwise(self, seed):
+        # svds over products with a C-ordered dense conditional, built here by
+        # the textbook formula; a language operator (d = 1, λ = 0) must give
+        # the same bits
+        langs = [(random_language(seed, Alphabet(4), k + l), k, l)
+                 for k, l in [(1, 1), (2, 1), (2, 2), (1, 2)]]
+        langs.append((random_doubly_stochastic_language(seed, 12), 1, 1))
+        for lang, k, l in langs:
+            op = conditional_operator(lang, k, l)
+            joint = fundamental_tensor(lang, k + l).reshape(lang.size**k, lang.size**l)
+            q = fundamental_tensor(lang, k).reshape(-1)
+            mat, sqrt_q = np.ascontiguousarray((joint / q[:, None]).T), np.sqrt(q)
+            assert op.matrix.tobytes() == mat.tobytes()
+            linop = LinearOperator(mat.shape, matvec=lambda x: mat @ (sqrt_q * np.ravel(x)),
+                                   rmatvec=lambda y: sqrt_q * (mat.T @ np.ravel(y)))
+            n = min(mat.shape)
+            rank = min(2, n - 2)
+            u, s, vh = svds(linop, k=rank, v0=np.full(n, 1.0) / np.sqrt(n))
+            order = np.argsort(-s)
+            dec = truncated_weighted_svd(op, rank=rank)
+            assert dec.singular_values.tobytes() == s[order].tobytes()
+            assert np.abs(dec.left_vectors).tobytes() == np.abs(u[:, order]).tobytes()
+            assert np.abs(dec.right_vectors).tobytes() == np.abs(vh.T[:, order]).tobytes()
 
     def test_deterministic(self):
         lang = random_language(18, Alphabet(4), 3)

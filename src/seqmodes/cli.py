@@ -1,10 +1,19 @@
 """Command-line front end: corpus → decomposition → truncation → experiments.
 
-Every command reads one JSON config (flags override fields), writes its
-outputs plus the fully resolved config into the output directory, and is
-idempotent: identical config and inputs produce identical bytes. Exit codes:
-0 success, 2 input error, 3 missing upstream artifact, 4 numerical failure
-(with a diagnostics file).
+Every command reads one JSON config, and its flags override the config's
+fields. :func:`main` runs the protocol that all seven commands share:
+
+1. resolve the config: fold in ``command``, the default ``seed`` (0) and the
+   output directory ``out`` (default ``.``, from ``--out`` or the config);
+2. create ``out`` and write the resolved config to ``resolved_config.json``;
+3. call ``cmd_<name>(config, out)``, which only reads its inputs, computes
+   and writes its artifacts, and returns the name of its headline artifact;
+4. print ``wrote <out>/<artifact>``.
+
+Identical config and inputs produce identical bytes. Exit codes: 0 success,
+2 input error, 3 missing upstream artifact or config file, 4 numerical
+failure. On exit 4, ``numerical_failure.json`` with the diagnostics is written
+into the resolved output directory, wherever ``out`` was given.
 """
 
 from __future__ import annotations
@@ -54,87 +63,77 @@ EXIT_INPUT = 2
 EXIT_MISSING = 3
 EXIT_NUMERICAL = 4
 
+_REQUIRED = object()
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return float(f"{value:.17g}")
-    if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_fmt(float(v)) for v in value.ravel()]
-    if isinstance(value, (np.floating,)):
-        return float(f"{float(value):.17g}")
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_fmt(payload), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def write_lines(path: Path, lines) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _field(config: dict, key: str, kind, default=_REQUIRED):
+    """``config[key]`` converted by ``kind``; ``default`` when absent or null."""
+    value = config.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required config field {key!r}")
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {value!r}") from None
 
 
 def _load_config(args) -> dict:
+    """The config file's fields, overridden by the flags given, plus command, seed and out."""
     config: dict = {}
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file {path}")
-        config = json.loads(path.read_text(encoding="utf-8"))
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("config", "func", "command") and value is not None
-    }
-    config.update(overrides)
+        try:
+            config = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, "
+                              f"not {type(config).__name__}")
+    config.update({key: value for key, value in vars(args).items()
+                   if key not in ("config", "func", "command") and value is not None})
+    config["command"] = args.command
+    config.setdefault("seed", 0)
+    config["out"] = str(Path(_field(config, "out", str, ".")))
     return config
 
 
-def _require(config: dict, key: str):
-    if key not in config or config[key] is None:
-        raise ConfigError(f"missing required config field {key!r}")
-    return config[key]
-
-
-def _outdir(config: dict) -> Path:
-    out = Path(config.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _resolve_and_echo(config: dict, out: Path, command: str) -> dict:
-    resolved = dict(config)
-    resolved["command"] = command
-    resolved.setdefault("seed", 0)
-    resolved["out"] = str(out)
-    write_json(out / "resolved_config.json", resolved)
-    return resolved
+def _input_path(config: dict, key: str, what: str) -> Path:
+    path = Path(_field(config, key, str))
+    if not path.exists():
+        raise FileNotFoundError(f"{what} {path}")
+    return path
 
 
 def _load_operator(config: dict):
     """Operator from either a counts table or an exact language file."""
     if config.get("counts"):
-        path = Path(config["counts"])
-        if not path.exists():
-            raise FileNotFoundError(f"counts table {path}")
-        table = corpus_mod.read_count_table(path)
+        table = corpus_mod.read_count_table(_input_path(config, "counts", "counts table"))
         return corpus_mod.build_conditional_matrix(
             table,
-            lambda_smooth=float(config.get("lambda_smooth", 1e-5)),
+            lambda_smooth=_field(config, "lambda_smooth", float, 1e-5),
             policy=config.get("policy", "stochastic"),
         )
     if config.get("language"):
-        path = Path(config["language"])
-        if not path.exists():
-            raise FileNotFoundError(f"language file {path}")
+        path = _input_path(config, "language", "language file")
         lang = language_from_json(path.read_text(encoding="utf-8"))
-        return conditional_operator(lang, int(_require(config, "k")), int(_require(config, "l")))
+        return conditional_operator(lang, _field(config, "k", int), _field(config, "l", int))
     raise ConfigError("either 'counts' or 'language' must be provided")
 
 
@@ -154,23 +153,18 @@ def _full_table_size(op) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Commands.
+# Commands: each reads its inputs, writes its artifacts into ``out`` and
+# returns the name of the headline artifact.
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    config = _load_config(args)
-    corpus_path = Path(_require(config, "corpus"))
-    if not corpus_path.exists():
-        raise FileNotFoundError(f"corpus file {corpus_path}")
-    out = _outdir(config)
-    _resolve_and_echo(config, out, "ingest")
-    stream = corpus_mod.read_token_stream(corpus_path)
+def cmd_ingest(config: dict, out: Path) -> str:
+    stream = corpus_mod.read_token_stream(_input_path(config, "corpus", "corpus file"))
     table = corpus_mod.stream_ngram_counts(
         stream,
-        k=int(_require(config, "k")),
-        l=int(_require(config, "l")),
-        min_count=int(config.get("min_count", 1)),
-        min_y_count=int(config.get("min_y_count", 1)),
+        k=_field(config, "k", int),
+        l=_field(config, "l", int),
+        min_count=_field(config, "min_count", int, 1),
+        min_y_count=_field(config, "min_y_count", int, 1),
     )
     corpus_mod.write_count_table(table, out / "counts.tsv")
     write_json(out / "ingest_meta.json", {
@@ -180,87 +174,64 @@ def cmd_ingest(args) -> int:
         "retained_contexts": len(table.x_counts),
         "retained_pairs": len(table.xy_counts),
     })
-    print(f"wrote {out / 'counts.tsv'}")
-    return EXIT_OK
+    return "counts.tsv"
 
 
-def cmd_decompose(args) -> int:
-    config = _load_config(args)
-    out = _outdir(config)
-    _resolve_and_echo(config, out, "decompose")
-    rank = config.get("rank")
-    if rank is not None and int(rank) < 1:
+def cmd_decompose(config: dict, out: Path) -> str:
+    rank = _field(config, "rank", int, None)
+    if rank is not None and rank < 1:
         raise ConfigError(f"rank must be at least 1, got {rank}")
     op = _load_operator(config)
-    if rank is not None and int(rank) < min(op.n_y, op.n_x):
-        dec = truncated_weighted_svd(op, rank=int(rank))
-        requested = int(rank)
+    if rank is not None and rank < min(op.n_y, op.n_x):
+        dec = truncated_weighted_svd(op, rank=rank)
     else:
         dec = weighted_svd(op)
-        requested = int(rank) if rank is not None else dec.n_modes
-    payload = decomposition_summary(dec, top_components=int(config.get("top", 0)) or requested)
-    n_available = len(payload["singular_values"])
-    if requested > n_available:
-        payload["singular_values"] += [0.0] * (requested - n_available)
+    requested = dec.n_modes if rank is None else rank
+    payload = decomposition_summary(dec, top_components=_field(config, "top", int, 0) or requested)
+    padding = requested - len(payload["singular_values"])
+    if padding > 0:
+        payload["singular_values"] += [0.0] * padding
         payload["rank_padded"] = True
-    text_lines = []
-    for comp in payload["components"]:
-        terms = " + ".join(f"{v:.4g}*[{lab}]" for lab, v in comp["left_loadings"][:4])
-        text_lines.append(
-            f"component {comp['index']}: s = {comp['singular_value']:.6g}; u = {terms}"
-        )
     write_json(out / "decomposition.json", payload)
     if config.get("dense"):
         write_json(out / "decomposition_dense.json", {
-            "singular_values": [float(s) for s in dec.singular_values],
-            "left_vectors": [[float(v) for v in row] for row in dec.left_vectors],
-            "right_vectors": [[float(v) for v in row] for row in dec.right_vectors],
-            "marginal": [float(v) for v in dec.marginal],
+            "singular_values": dec.singular_values,
+            "left_vectors": dec.left_vectors,
+            "right_vectors": dec.right_vectors,
+            "marginal": dec.marginal,
         })
-    (out / "top_loadings.txt").write_text("\n".join(text_lines) + "\n", encoding="utf-8")
-    print(f"wrote {out / 'decomposition.json'}")
-    return EXIT_OK
+    write_lines(out / "top_loadings.txt", [
+        f"component {comp['index']}: s = {comp['singular_value']:.6g}; u = "
+        + " + ".join(f"{v:.4g}*[{lab}]" for lab, v in comp["left_loadings"][:4])
+        for comp in payload["components"]
+    ])
+    return "decomposition.json"
 
 
-def _write_effective(out: Path, eff, name="effective.tsv") -> None:
-    lines = [f"#k {eff.k}", f"#l {eff.l}"]
-    for key, value in sorted(eff.provenance.items()):
-        lines.append(f"#{key} {value}")
-    lines.append("#columns y_ids\tx_ids\tprobability")
-    for xi, x in enumerate(eff.x_labels):
-        for yi, y in enumerate(eff.y_labels):
-            lines.append(f"{_label(y)}\t{_label(x)}\t{eff.conditional[yi, xi]:.17g}")
-    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def cmd_truncate(args) -> int:
-    config = _load_config(args)
-    out = _outdir(config)
-    _resolve_and_echo(config, out, "truncate")
-    op = _load_operator(config)
-    dec = weighted_svd(op)
-    chi = int(_require(config, "chi"))
+def cmd_truncate(config: dict, out: Path) -> str:
+    dec = weighted_svd(_load_operator(config))
+    chi = _field(config, "chi", int)
     solver = config.get("solver", "kl")
     if solver == "projection_only":
-        raw = project_leq_chi(dec, reconstruct_matrix(dec), chi)
-        lines = [f"#k {dec.k}", f"#l {dec.l}", f"#chi {chi}", "#solver projection_only",
-                 "#normalized false", "#columns y_ids\tx_ids\tvalue"]
-        for xi, x in enumerate(dec.x_labels):
-            for yi, y in enumerate(dec.y_labels):
-                lines.append(f"{_label(y)}\t{_label(x)}\t{raw[yi, xi]:.17g}")
-        (out / "effective.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        write_json(out / "truncation_provenance.json",
-                   {"chi": chi, "solver": solver, "normalized": False})
+        provenance = {"chi": chi, "solver": solver, "normalized": False}
+        header = [f"#chi {chi}", f"#solver {solver}", "#normalized false"]
+        column, table = "value", project_leq_chi(dec, reconstruct_matrix(dec), chi)
     else:
         eff = truncate(dec, chi, solver)
-        _write_effective(out, eff)
-        write_json(out / "truncation_provenance.json", dict(eff.provenance))
-    print(f"wrote {out / 'effective.tsv'}")
-    return EXIT_OK
+        provenance = dict(eff.provenance)
+        header = [f"#{key} {value}" for key, value in sorted(provenance.items())]
+        column, table = "probability", eff.conditional
+    write_lines(out / "effective.tsv", [
+        f"#k {dec.k}", f"#l {dec.l}", *header, f"#columns y_ids\tx_ids\t{column}",
+        *(f"{_label(y)}\t{_label(x)}\t{table[yi, xi]:.17g}"
+          for xi, x in enumerate(dec.x_labels) for yi, y in enumerate(dec.y_labels)),
+    ])
+    write_json(out / "truncation_provenance.json", provenance)
+    return "effective.tsv"
 
 
 def _sample_size(config: dict, default: int) -> int:
-    n = int(config.get("n", default))
+    n = _field(config, "n", int, default)
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
     return n
@@ -276,14 +247,14 @@ def _sgld_config_from(config: dict, n: int, seed: int):
         raise ConfigError(f"unknown preset {preset!r}")
     return constant_schedule(
         n=n,
-        beta=float(config.get("beta", defaults["beta"])),
-        gamma=float(config.get("gamma", defaults["gamma"])),
-        m=int(config.get("m", n)),
-        T=int(config.get("T", defaults["T"])),
-        epsilon=float(config.get("epsilon", defaults["epsilon"])),
+        beta=_field(config, "beta", float, defaults["beta"]),
+        gamma=_field(config, "gamma", float, defaults["gamma"]),
+        m=_field(config, "m", int, n),
+        T=_field(config, "T", int, defaults["T"]),
+        epsilon=_field(config, "epsilon", float, defaults["epsilon"]),
         seed=seed,
-        burn_in=float(config.get("burn_in", 0.5)),
-        weight_norm_cap=config.get("weight_norm_cap"),
+        burn_in=_field(config, "burn_in", float, 0.5),
+        weight_norm_cap=_field(config, "weight_norm_cap", float, None),
     )
 
 
@@ -291,22 +262,19 @@ def _model_from(config: dict, k: int, l: int, alphabet_size: int) -> SoftmaxMode
     return SoftmaxModel(
         k=k, l=l, alphabet_size=alphabet_size,
         parametrization=config.get("parametrization", "full_table"),
-        rank=config.get("model_rank"),
-        pinned=bool(config.get("pinned", True)),
+        rank=_field(config, "model_rank", int, None),
+        pinned=_field(config, "pinned", bool, True),
     )
 
 
-def cmd_llc(args) -> int:
-    config = _load_config(args)
-    out = _outdir(config)
-    resolved = _resolve_and_echo(config, out, "llc")
+def cmd_llc(config: dict, out: Path) -> str:
     op = _load_operator(config)
     model = _model_from(config, op.k, op.l, _full_table_size(op))
     n = _sample_size(config, 10000)
-    seed = int(resolved["seed"])
+    seed = _field(config, "seed", int)
     dataset = sample_dataset(op.joint(), n, seed=seed)
     fit = fit_model(model, dataset)
-    chains = int(config.get("chains", 8))
+    chains = _field(config, "chains", int, 8)
     configs = [_sgld_config_from(config, n, seed=seed + c) for c in range(chains)]
     traces = run_chains([as_target(model, dataset)] * chains, fit.w, configs)
     estimates = [llc_estimate(trace, model, dataset, fit.w, cfg).lambda_hat
@@ -322,39 +290,36 @@ def cmd_llc(args) -> int:
         "fit_grad_norm": fit.grad_norm,
         "seed": seed,
     })
-    print(f"wrote {out / 'llc_estimate.json'}")
-    return EXIT_OK
+    return "llc_estimate.json"
 
 
 def _write_trace_csv(path: Path, trace, deltas=None, g_series=None) -> None:
     dist = trace.distances_to_center()
+    epsilons = trace.config.epsilons
     header = "t,epsilon,loss,distance_to_center"
     if deltas is not None:
         header += ",delta,g_bound"
     rows = [header]
     for t in range(trace.T):
-        row = f"{t + 1},{trace.epsilons[t]:.17g},{trace.losses[t]:.17g},{dist[t]:.17g}"
+        row = f"{t + 1},{epsilons[t]:.17g},{trace.losses[t]:.17g},{dist[t]:.17g}"
         if deltas is not None:
             g = g_series[t] if g_series is not None else float("nan")
             row += f",{deltas[t]:.17g},{g:.17g}"
         rows.append(row)
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_lines(path, rows)
 
 
-def cmd_couple(args) -> int:
-    config = _load_config(args)
-    out = _outdir(config)
-    resolved = _resolve_and_echo(config, out, "couple")
-    seeds = int(config.get("n_seeds", 1))
+def cmd_couple(config: dict, out: Path) -> str:
+    seeds = _field(config, "n_seeds", int, 1)
     if seeds < 1:
         raise ConfigError(f"n_seeds must be at least 1, got {seeds}")
     op = _load_operator(config)
     dec = weighted_svd(op)
-    chi = int(_require(config, "chi"))
+    chi = _field(config, "chi", int)
     eff = truncate(dec, chi, config.get("solver", "kl"))
     model = _model_from(config, op.k, op.l, _full_table_size(op))
     n = _sample_size(config, 20000)
-    base_seed = int(resolved["seed"])
+    base_seed = _field(config, "seed", int)
     cfg = _sgld_config_from(config, n, seed=base_seed)
     results = [
         coupled_bound_trial(model, op.joint(), eff.joint(), cfg, seed=base_seed + s)
@@ -363,7 +328,7 @@ def cmd_couple(args) -> int:
     first = results[0]
     _write_trace_csv(out / "coupled_trace.csv", first.coupled.trace_true,
                      deltas=first.deltas, g_series=first.g_series)
-    summary = {
+    write_json(out / "coupled_report.json", {
         "n_seeds": seeds,
         "window_pass": sum(r.window_ok for r in results),
         "delta_bound_pass": sum(r.delta_bound_ok for r in results),
@@ -376,57 +341,36 @@ def cmd_couple(args) -> int:
             "m": cfg.m, "T": cfg.T, "eps_min": cfg.eps_min, "eps_max": cfg.eps_max,
             "seed": base_seed,
         },
-    }
-    write_json(out / "coupled_report.json", summary)
-    print(f"wrote {out / 'coupled_report.json'}")
-    return EXIT_OK
+    })
+    return "coupled_report.json"
 
 
-def cmd_bounds(args) -> int:
-    config = _load_config(args)
-    out = _outdir(config)
-    _resolve_and_echo(config, out, "bounds")
+def cmd_bounds(config: dict, out: Path) -> str:
     n = _sample_size(config, 20000)
-    cfg = _sgld_config_from(config, n, seed=int(config.get("seed", 0)))
-    A = float(_require(config, "A"))
-    B = float(_require(config, "B"))
-    Q = float(_require(config, "Q"))
-    M = float(_require(config, "M"))
-    xi = float(config.get("xi", 0.0))
-    kappa = float(config.get("kappa", 0.0))
+    cfg = _sgld_config_from(config, n, seed=_field(config, "seed", int))
+    A, B, Q, M = (_field(config, name, float) for name in ("A", "B", "Q", "M"))
+    xi = _field(config, "xi", float, 0.0)
+    kappa = _field(config, "kappa", float, 0.0)
     if Q > 10.0:
         print("note: Q exceeds the gradient-norm scale (10) reported for large runs")
-    ok, text = cfg.window_check(M)
-    if not ok:
-        print(f"hyperparameter window violated: {text}")
-        return EXIT_INPUT
-    mu = bound_mu(cfg, M)
+    mu = bound_mu(cfg, M)  # outside the hyperparameter window: WindowViolationError
     g = bound_g(np.arange(1, cfg.T + 1), A, xi, cfg, M)
-    main = estimator_difference_bound(A, B, xi, kappa, Q, M, cfg)
-    rows = ["t,g"] + [f"{t + 1},{g[t]:.17g}" for t in range(cfg.T)]
-    (out / "bound_table.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_lines(out / "bound_table.csv", ["t,g", *(f"{t + 1},{g[t]:.17g}" for t in range(cfg.T))])
     write_json(out / "bounds.json", {
         "mu": mu,
-        "g_final": float(g[-1]),
-        "g_limit": float(bound_g_limit(cfg, A, xi, M)),
-        "estimator_difference_bound": main,
-        "window": text,
+        "g_final": g[-1],
+        "g_limit": bound_g_limit(cfg, A, xi, M),
+        "estimator_difference_bound": estimator_difference_bound(A, B, xi, kappa, Q, M, cfg),
+        "window": cfg.window_check(M)[1],
         "A": A, "B": B, "Q": Q, "M": M, "xi": xi, "kappa": kappa,
     })
-    print(f"wrote {out / 'bounds.json'}")
-    return EXIT_OK
+    return "bounds.json"
 
 
-def cmd_examples(args) -> int:
-    config = _load_config(args)
-    out = _outdir(config)
-    _resolve_and_echo(config, out, "examples")
-    corpus_path = Path(_require(config, "corpus"))
-    if not corpus_path.exists():
-        raise FileNotFoundError(f"corpus file {corpus_path}")
-    stream = corpus_mod.read_token_stream(corpus_path)
+def cmd_examples(config: dict, out: Path) -> str:
+    stream = corpus_mod.read_token_stream(_input_path(config, "corpus", "corpus file"))
     op = _load_operator(config)
-    component = int(config.get("component", 0))
+    component = _field(config, "component", int, 0)
     # The leading component + 1 triples serve a positive mode; a kernel or
     # out-of-range component needs the full decomposition.
     dec = truncated_weighted_svd(op, rank=max(component, 0) + 1)
@@ -434,18 +378,16 @@ def cmd_examples(args) -> int:
         dec = weighted_svd(op)
     examples = corpus_mod.extract_contextual_examples(
         stream, dec, component,
-        window=int(config.get("window", 50)),
-        loading_fraction=float(config.get("loading_fraction", 0.1)),
+        window=_field(config, "window", int, 50),
+        loading_fraction=_field(config, "loading_fraction", float, 0.1),
     )
-    lines = [f"component {component}: {len(examples)} example(s)"]
-    for before, x, y, after in examples[: int(config.get("max_examples", 20))]:
-        lines.append(
-            f"... {' '.join(map(str, before))} [{_label(x)} | {_label(y)}] "
-            f"{' '.join(map(str, after))} ..."
-        )
-    (out / "contextual_examples.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out / 'contextual_examples.txt'}")
-    return EXIT_OK
+    write_lines(out / "contextual_examples.txt", [
+        f"component {component}: {len(examples)} example(s)",
+        *(f"... {' '.join(map(str, before))} [{_label(x)} | {_label(y)}] "
+          f"{' '.join(map(str, after))} ..."
+          for before, x, y, after in examples[:_field(config, "max_examples", int, 20)]),
+    ])
+    return "contextual_examples.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -460,97 +402,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ingest", help="count n-gram windows in a token corpus")
-    common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--min-count", dest="min_count", type=int)
-    p.add_argument("--min-y-count", dest="min_y_count", type=int)
-    p.set_defaults(func=cmd_ingest)
+    def add(p, kind, *names):  # "--min-count" sets config field "min_count"
+        for name in names:
+            p.add_argument(f"--{name}", type=kind)
 
-    p = sub.add_parser("decompose", help="weighted SVD of a conditional operator")
-    common(p)
-    p.add_argument("--counts")
-    p.add_argument("--language")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--lambda-smooth", dest="lambda_smooth", type=float)
+    p = command("ingest", cmd_ingest, "count n-gram windows in a token corpus")
+    add(p, str, "corpus")
+    add(p, int, "k", "l", "min-count", "min-y-count")
+
+    p = command("decompose", cmd_decompose, "weighted SVD of a conditional operator")
+    add(p, str, "counts", "language")
+    add(p, int, "k", "l", "rank", "top")
+    add(p, float, "lambda-smooth")
     p.add_argument("--policy", choices=["paper", "stochastic"])
-    p.add_argument("--rank", type=int)
-    p.add_argument("--top", type=int)
     p.add_argument("--dense", action="store_true", default=None)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("truncate", help="effective distribution from a mode cutoff")
-    common(p)
-    p.add_argument("--counts")
-    p.add_argument("--language")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--lambda-smooth", dest="lambda_smooth", type=float)
+    p = command("truncate", cmd_truncate, "effective distribution from a mode cutoff")
+    add(p, str, "counts", "language")
+    add(p, int, "k", "l", "chi")
+    add(p, float, "lambda-smooth")
     p.add_argument("--policy", choices=["paper", "stochastic"])
-    p.add_argument("--chi", type=int)
     p.add_argument("--solver", choices=["projection_only", "normalized", "kl"])
-    p.set_defaults(func=cmd_truncate)
 
-    p = sub.add_parser("llc", help="SGLD-based learning-coefficient estimate")
-    common(p)
+    p = command("llc", cmd_llc, "SGLD-based learning-coefficient estimate")
     p.add_argument("--preset", choices=["paper"])
-    p.add_argument("--language")
-    p.add_argument("--counts")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--T", type=int)
-    p.add_argument("--m", type=int)
-    p.set_defaults(func=cmd_llc)
+    add(p, str, "language", "counts")
+    add(p, int, "k", "l", "n", "chains", "T", "m")
+    add(p, float, "beta", "gamma", "epsilon")
 
-    p = sub.add_parser("couple", help="coupled chains against a truncated loss")
-    common(p)
+    p = command("couple", cmd_couple, "coupled chains against a truncated loss")
     p.add_argument("--preset", choices=["paper"])
-    p.add_argument("--language")
-    p.add_argument("--counts")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--chi", type=int)
+    add(p, str, "language", "counts")
+    add(p, int, "k", "l", "chi", "n", "n-seeds", "T")
     p.add_argument("--solver", choices=["normalized", "kl"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-seeds", dest="n_seeds", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--T", type=int)
-    p.set_defaults(func=cmd_couple)
+    add(p, float, "beta", "gamma", "epsilon")
 
-    p = sub.add_parser("bounds", help="evaluate the trajectory and estimator bounds")
-    common(p)
-    for name in ("A", "B", "Q", "M", "xi", "kappa", "beta", "gamma", "epsilon"):
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--T", type=int)
-    p.set_defaults(func=cmd_bounds)
+    p = command("bounds", cmd_bounds, "evaluate the trajectory and estimator bounds")
+    add(p, float, "A", "B", "Q", "M", "xi", "kappa", "beta", "gamma", "epsilon")
+    add(p, int, "n", "T")
 
-    p = sub.add_parser("examples", help="contextual corpus examples for a component")
-    common(p)
-    p.add_argument("--corpus")
-    p.add_argument("--counts")
-    p.add_argument("--language")
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--component", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--loading-fraction", dest="loading_fraction", type=float)
-    p.set_defaults(func=cmd_examples)
+    p = command("examples", cmd_examples, "contextual corpus examples for a component")
+    add(p, str, "corpus", "counts", "language")
+    add(p, int, "k", "l", "component", "window")
+    add(p, float, "loading-fraction")
     return parser
 
 
@@ -563,7 +465,11 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args)
+        out = Path(config["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "resolved_config.json", config)
+        artifact = args.func(config, out)
     except FileNotFoundError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
@@ -574,16 +480,16 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InfeasibleTruncationError, ChainDivergedError) as exc:
-        out = Path(getattr(args, "out", None) or ".")
-        out.mkdir(parents=True, exist_ok=True)
+        # only a command raises these, so ``out`` is resolved and exists
         diagnostics = getattr(exc, "diagnostics", {"step": getattr(exc, "step", None)})
-        write_json(out / "numerical_failure.json",
-                   {"error": str(exc), "diagnostics": diagnostics})
+        write_json(out / "numerical_failure.json", {"error": str(exc), "diagnostics": diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (TruncationError, SGLDError, ModelError, ModeError, MemoryError) as exc:
         print(f"input error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
+    print(f"wrote {out / artifact}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

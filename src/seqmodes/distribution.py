@@ -316,7 +316,7 @@ def random_language(
 
 
 def random_doubly_stochastic_language(
-    seed: int, size: int, concentration: float = 1.0, sinkhorn_tol: float = 1e-15
+    seed: int, size: int, concentration: float = 1.0
 ) -> Language:
     """Bigram language (K=2) with uniform marginals on both positions.
 
@@ -333,7 +333,7 @@ def random_doubly_stochastic_language(
         m /= m.sum(axis=0, keepdims=True)
         row_err = np.max(np.abs(m.sum(axis=1) - 1.0))
         col_err = np.max(np.abs(m.sum(axis=0) - 1.0))
-        if max(row_err, col_err) < sinkhorn_tol:
+        if max(row_err, col_err) < 1e-15:
             break
     joint = m / m.sum()
     return Language(alphabet=Alphabet(size), K=2, joint=joint)

@@ -25,7 +25,8 @@ import numpy as np
 
 from ._streams import DATA_TAG, keyed_generator
 
-JOINT_ATOL = 1e-12
+FIT_GRAD_TOL = 1e-10  # gradient norm at which fit_model stops
+FIT_MAX_ITERATIONS = 10_000
 
 
 class ModelError(ValueError):
@@ -326,8 +327,6 @@ def _smart_init(model: SoftmaxModel, joint: np.ndarray) -> np.ndarray:
 def fit_model(
     model: SoftmaxModel,
     data: Dataset | np.ndarray,
-    grad_tol: float = 1e-10,
-    max_iterations: int = 10000,
     init: np.ndarray | None = None,
 ) -> FitResult:
     """Full-batch gradient descent with backtracking to a stationary point.
@@ -342,10 +341,10 @@ def fit_model(
     step = 1.0
     iterations = 0
     grad_norm = float("inf")
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, FIT_MAX_ITERATIONS + 1):
         grad = grad_population_loss(model, joint, w)
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < grad_tol:
+        if grad_norm < FIT_GRAD_TOL:
             return FitResult(w=w, converged=True, grad_norm=grad_norm,
                              iterations=iterations - 1, loss=loss)
         while step > 1e-18:
@@ -360,7 +359,7 @@ def fit_model(
         step = min(step * 2.0, 64.0)
     grad_norm = float(np.linalg.norm(grad_population_loss(model, joint, w)))
     return FitResult(
-        w=w, converged=grad_norm < grad_tol, grad_norm=grad_norm,
+        w=w, converged=grad_norm < FIT_GRAD_TOL, grad_norm=grad_norm,
         iterations=iterations, loss=loss,
     )
 

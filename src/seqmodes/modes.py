@@ -26,7 +26,8 @@ from scipy.sparse.linalg import LinearOperator, svds
 
 from .distribution import ConditionalOperator
 
-DEFAULT_RANK_TOL = 1e-12
+RANK_TOL = 1e-12  # relative to the top singular value: positive modes vs numerical kernel
+TOP_LOADINGS = 8  # (label, value) pairs per vector in decomposition_summary
 
 
 class ModeError(ValueError):
@@ -104,12 +105,12 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return _orient(vectors, vectors)[0]
 
 
-def _complete_orthonormal(partial: np.ndarray, dim: int, tol: float = 1e-8) -> np.ndarray:
+def _complete_orthonormal(partial: np.ndarray, dim: int) -> np.ndarray:
     """Extend orthonormal columns to a full basis of R^dim.
 
     Residuals of the standard basis vectors, taken in index order, are
-    orthonormalized (twice, for stability); near-dependent candidates are
-    skipped. Deterministic by construction.
+    orthonormalized (twice, for stability); near-dependent candidates
+    (residual norm at most 1e-8) are skipped. Deterministic by construction.
     """
     cols = [partial[:, j] for j in range(partial.shape[1])]
     for j in range(dim):
@@ -122,18 +123,18 @@ def _complete_orthonormal(partial: np.ndarray, dim: int, tol: float = 1e-8) -> n
             for c in cols:
                 r = r - np.dot(c, r) * c
         norm = np.linalg.norm(r)
-        if norm > tol:
+        if norm > 1e-8:
             cols.append(r / norm)
     if len(cols) != dim:
         raise ModeError("failed to complete orthonormal basis")
     return np.column_stack(cols)
 
 
-def weighted_svd(op: ConditionalOperator, rank_tol: float = DEFAULT_RANK_TOL) -> ModeDecomposition:
+def weighted_svd(op: ConditionalOperator) -> ModeDecomposition:
     """Full mode decomposition of a conditional operator.
 
-    ``rank_tol`` is relative to the top singular value and separates the
-    positive modes from the numerical kernel.
+    Singular values at most ``RANK_TOL`` times the top one count as the
+    numerical kernel.
     """
     matrix = op.matrix
     q = op.marginal
@@ -149,7 +150,7 @@ def weighted_svd(op: ConditionalOperator, rank_tol: float = DEFAULT_RANK_TOL) ->
     s_full[:n_sv] = s
     vt = vh.T  # columns are the ṽ_α
     s_max = s_full[0] if n_sv else 0.0
-    n_plus = int(np.sum(s_full > rank_tol * s_max)) if s_max > 0 else 0
+    n_plus = int(np.sum(s_full > RANK_TOL * s_max)) if s_max > 0 else 0
     s_full[n_plus:] = 0.0  # kernel modes carry exact zeros
 
     u_plus, v_plus = _orient(u[:, :n_plus], vt[:, :n_plus])
@@ -177,7 +178,7 @@ def weighted_svd(op: ConditionalOperator, rank_tol: float = DEFAULT_RANK_TOL) ->
         left_vectors=left,
         right_vectors=v_cols,
         marginal=q.copy(),
-        rank_tol=rank_tol,
+        rank_tol=RANK_TOL,
         n_plus=n_plus,
         x_labels=op.x_labels,
         y_labels=op.y_labels,
@@ -222,8 +223,8 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDeco
         k=op.k, l=op.l,
         singular_values=s, left_vectors=u, right_vectors=vt,
         marginal=op.marginal.copy(),
-        rank_tol=DEFAULT_RANK_TOL,
-        n_plus=int(np.sum(s > DEFAULT_RANK_TOL * s[0])),
+        rank_tol=RANK_TOL,
+        n_plus=int(np.sum(s > RANK_TOL * s[0])),
         x_labels=op.x_labels, y_labels=op.y_labels,
     )
 
@@ -338,8 +339,7 @@ def pair_model_with_mode(model_conditional, dec: ModeDecomposition, alpha: int, 
     return float(np.sum(dec.marginal * vhat_alpha * per_x))
 
 
-def decomposition_summary(dec: ModeDecomposition, top_components: int = 0,
-                          top_loadings: int = 8) -> dict:
+def decomposition_summary(dec: ModeDecomposition, top_components: int = 0) -> dict:
     """JSON-ready summary: singular values plus top loadings per component.
 
     Loadings are (label, value) pairs ordered by magnitude, mirroring the
@@ -349,7 +349,7 @@ def decomposition_summary(dec: ModeDecomposition, top_components: int = 0,
     limit = min(n, top_components) if top_components > 0 else n
 
     def loadings(vec, labels):
-        order = np.argsort(-np.abs(vec))[:top_loadings]
+        order = np.argsort(-np.abs(vec))[:TOP_LOADINGS]
         return [[",".join(map(str, labels[i])), float(vec[i])] for i in order]
 
     components = []

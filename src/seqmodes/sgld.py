@@ -209,7 +209,6 @@ class ChainTrace:
 
     states: np.ndarray
     losses: np.ndarray
-    epsilons: np.ndarray
     config: SGLDConfig
     w_star: np.ndarray
     norm_cap_violations: int = 0
@@ -303,10 +302,8 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         if config.weight_norm_cap is not None:
             violations = int(np.count_nonzero(
                 row_norms(states[c, 1:] - w_star) > config.weight_norm_cap))
-        traces.append(ChainTrace(
-            states=states[c], losses=losses[c], epsilons=np.asarray(config.epsilons).copy(),
-            config=config, w_star=w_star, norm_cap_violations=violations,
-        ))
+        traces.append(ChainTrace(states=states[c], losses=losses[c], config=config,
+                                 w_star=w_star, norm_cap_violations=violations))
     return traces
 
 

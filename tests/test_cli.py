@@ -186,6 +186,18 @@ class TestTruncate:
         assert "certified empty" in diag["error"]
         assert diag["diagnostics"]["certificate"] == "column_sums"
 
+    def test_infeasible_diagnostics_in_out_from_config(self, tmp_path, monkeypatch):
+        lang = tmp_path / "lang.json"
+        lang.write_text(language_to_json(random_language(6, 3, 2)))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"language": str(lang), "k": 1, "l": 1, "chi": 0,
+                                      "out": "tr"}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["truncate", "--config", str(config)]) == 4
+        diag = json.loads((tmp_path / "tr" / "numerical_failure.json").read_text())
+        assert diag["diagnostics"]["certificate"] == "column_sums"
+        assert not (tmp_path / "numerical_failure.json").exists()
+
     def test_projection_only(self, fixture_language, tmp_path):
         out = tmp_path / "tr"
         code = main(["truncate", "--language", str(fixture_language), "--k", "1",
@@ -275,6 +287,60 @@ class TestLlcAndCouple:
                      "--chi", "1", "--n", "0", "--out", str(tmp_path / "couple")])
         assert code == 2
         assert "input error: n must be at least 1, got 0" in capsys.readouterr().err
+
+
+# (config fields, artifacts with the headline artifact first) per command;
+# "CORPUS" and "LANGUAGE" stand for the fixture paths
+COMMANDS = {
+    "ingest": ({"corpus": "CORPUS", "k": 1, "l": 1}, ["counts.tsv", "ingest_meta.json"]),
+    "decompose": ({"language": "LANGUAGE", "k": 1, "l": 1, "dense": True},
+                  ["decomposition.json", "decomposition_dense.json", "top_loadings.txt"]),
+    "truncate": ({"language": "LANGUAGE", "k": 1, "l": 1, "chi": 1},
+                 ["effective.tsv", "truncation_provenance.json"]),
+    "llc": ({"language": "LANGUAGE", "k": 1, "l": 1, "n": 300, "chains": 1, "T": 20},
+            ["llc_estimate.json", "trace_chain0.csv"]),
+    "couple": ({"language": "LANGUAGE", "k": 1, "l": 1, "chi": 1, "n": 300, "T": 20},
+               ["coupled_report.json", "coupled_trace.csv"]),
+    "bounds": ({"A": 1, "B": 0.01, "Q": 5, "M": 20, "n": 1000, "beta": 0.01, "gamma": 300,
+                "epsilon": 1e-4, "T": 100}, ["bounds.json", "bound_table.csv"]),
+    "examples": ({"corpus": "CORPUS", "language": "LANGUAGE", "k": 1, "l": 1, "window": 2},
+                 ["contextual_examples.txt"]),
+}
+
+
+class TestCommandProtocol:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_from_config_holds_every_artifact(self, command, fixture_corpus,
+                                                   fixture_language, tmp_path, monkeypatch,
+                                                   capsys):
+        fields, artifacts = COMMANDS[command]
+        paths = {"CORPUS": str(fixture_corpus), "LANGUAGE": str(fixture_language)}
+        out = tmp_path / "run"
+        config = tmp_path / "cfg.json"
+        fields = {key: paths.get(value, value) for key, value in fields.items()}
+        config.write_text(json.dumps({**fields, "out": str(out)}))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main([command, "--config", str(config)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(artifacts + ["resolved_config.json"])
+        assert list(cwd.iterdir()) == []
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert (resolved["command"], resolved["seed"], resolved["out"]) == (command, 0, str(out))
+        assert capsys.readouterr().out.endswith(f"wrote {out / artifacts[0]}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object, not list"),
+        ('{"language": "LANGUAGE", "k": "one", "l": 1}', "config field 'k' must be int, got 'one'"),
+    ], ids=["invalid_json", "json_array", "k_not_int"])
+    def test_malformed_config_exit_2(self, fixture_language, tmp_path, capsys, text, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(text.replace("LANGUAGE", str(fixture_language)))
+        code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "dec")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: config") and message in err
 
 
 class TestInputErrors:

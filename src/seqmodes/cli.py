@@ -26,12 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as corpus_mod
-from .distribution import (
-    DistributionError,
-    _sequence_labels,
-    conditional_operator,
-    language_from_json,
-)
+from .distribution import DistributionError, conditional_operator, language_from_json
 from .model import ModelError, SoftmaxModel, fit_model, sample_dataset
 from .modes import ModeError, decomposition_summary, truncated_weighted_svd, weighted_svd
 from .sgld import (
@@ -96,9 +91,7 @@ def _load_config(args) -> dict:
     """The config file's fields, overridden by the flags given, plus command, seed and out."""
     config: dict = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise FileNotFoundError(f"config file {path}")
+        path = _regular_file(Path(args.config), "config file")
         try:
             config = json.loads(path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -114,11 +107,17 @@ def _load_config(args) -> dict:
     return config
 
 
-def _input_path(config: dict, key: str, what: str) -> Path:
-    path = Path(_field(config, key, str))
+def _regular_file(path: Path, what: str) -> Path:
+    """``path``, if it names a regular file (a missing one is a missing artifact)."""
     if not path.exists():
         raise FileNotFoundError(f"{what} {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what} {path} is not a regular file")
     return path
+
+
+def _input_path(config: dict, key: str, what: str) -> Path:
+    return _regular_file(Path(_field(config, key, str)), what)
 
 
 def _load_operator(config: dict):
@@ -132,7 +131,10 @@ def _load_operator(config: dict):
         )
     if config.get("language"):
         path = _input_path(config, "language", "language file")
-        lang = language_from_json(path.read_text(encoding="utf-8"))
+        try:
+            lang = language_from_json(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"language file {path} is not valid JSON: {exc}") from None
         return conditional_operator(lang, _field(config, "k", int), _field(config, "l", int))
     raise ConfigError("either 'counts' or 'language' must be provided")
 
@@ -142,13 +144,19 @@ def _label(tokens) -> str:
 
 
 def _full_table_size(op) -> int:
-    """Alphabet size when the operator covers the full product space."""
+    """Alphabet size when the operator covers the full product space.
+
+    It does when its x and y labels are all k- and l-tuples in order, that
+    is, when their codes run 0, 1, ..., |Σ|^k − 1 and 0, 1, ..., |Σ|^l − 1.
+    """
     size = int(round(len(op.x_labels) ** (1.0 / op.k)))
-    if op.x_labels != _sequence_labels(size, op.k) or op.y_labels != _sequence_labels(size, op.l):
-        raise ConfigError(
-            "llc/couple experiments need an operator over the full product space; "
-            "a frequency-filtered counts table drops contexts or continuations"
-        )
+    for labels, width in ((op.x_labels, op.k), (op.y_labels, op.l)):
+        if len(labels) != size**width or not np.array_equal(
+                corpus_mod._encode(labels, width, size), np.arange(size**width)):
+            raise ConfigError(
+                "llc/couple experiments need an operator over the full product space; "
+                "a frequency-filtered counts table drops contexts or continuations"
+            )
     return size
 
 
@@ -168,7 +176,7 @@ def cmd_ingest(config: dict, out: Path) -> str:
     )
     corpus_mod.write_count_table(table, out / "counts.tsv")
     write_json(out / "ingest_meta.json", {
-        "documents": len(stream.records),
+        "documents": len(stream.lengths),
         "alphabet_size": stream.alphabet_size,
         "total_windows": table.total_windows(),
         "retained_contexts": len(table.x_counts),
@@ -467,7 +475,10 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         out = Path(config["out"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError(f"out {out} is not a directory and cannot become one") from None
         write_json(out / "resolved_config.json", config)
         artifact = args.func(config, out)
     except FileNotFoundError as exc:

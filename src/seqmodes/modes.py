@@ -202,7 +202,7 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDeco
         r = min(rank, dec.n_plus) if dec.n_plus else min(rank, dec.n_modes)
         return replace(dec, singular_values=dec.singular_values[:r], n_plus=min(r, dec.n_plus),
                        left_vectors=dec.left_vectors[:, :r], right_vectors=dec.right_vectors[:, :r])
-    raw, lam = op.raw, op.smoothing
+    raw, raw_t, lam = op.raw, op.raw.T, op.smoothing
     scale = np.sqrt(op.marginal) / op.denom
 
     def mv(x):
@@ -211,7 +211,7 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDeco
 
     def rmv(y):
         y = np.asarray(y).ravel()
-        return scale * (raw.T @ y + lam * y.sum())
+        return scale * (raw_t @ y + lam * y.sum())
 
     linop = LinearOperator((n_y, n_x), matvec=mv, rmatvec=rmv)
     v0 = np.full(min(n_x, n_y), 1.0) / np.sqrt(min(n_x, n_y))

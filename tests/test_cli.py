@@ -276,6 +276,18 @@ class TestLlcAndCouple:
         assert code == 2
         assert "input error: n_seeds must be at least 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("min_count, code", [("1", 0), ("2", 2)])
+    def test_llc_needs_full_product_space(self, tmp_path, capsys, min_count, code):
+        # at min_count 2 the context (2,) is filtered away
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("#alphabet 3\n0 1 0 1 0 1 0 2 0\n")
+        assert main(["ingest", "--corpus", str(corpus), "--k", "1", "--l", "1", "--min-count",
+                     min_count, "--out", str(tmp_path / "counts")]) == 0
+        assert main(["llc", "--counts", str(tmp_path / "counts" / "counts.tsv"), "--k", "1",
+                     "--l", "1", "--n", "200", "--chains", "1", "--T", "10",
+                     "--out", str(tmp_path / "llc")]) == code
+        assert ("full product space" in capsys.readouterr().err) == (code == 2)
+
     def test_llc_negative_n_exit_2(self, fixture_language, tmp_path, capsys):
         code = main(["llc", "--language", str(fixture_language), "--k", "1", "--l", "1",
                      "--n", "-5", "--out", str(tmp_path / "llc")])
@@ -370,6 +382,30 @@ class TestInputErrors:
         assert code == 2
         assert f"input error: {error}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_out_not_a_directory_exit_2(self, fixture_language, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("x")
+        out = afile / "sub" if below else afile
+        code = main(["decompose", "--language", str(fixture_language), "--k", "1", "--l", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert f"input error: out {out} is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["directory", "empty", "not_utf8"])
+    @pytest.mark.parametrize("flag", ["language", "counts", "corpus"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "input"
+        if content == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"" if content == "empty" else b"\xff\xfe")
+        command = "ingest" if flag == "corpus" else "decompose"
+        code = main([command, f"--{flag}", str(path), "--k", "1", "--l", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
 GOOD_COUNTS = "#k 1\n#l 1\n#alphabet 3\n0\t1\t2\n1\t2\t1\n"
 
 
@@ -401,6 +437,16 @@ class TestCorpusInputErrors:
                      "--out", str(tmp_path / "ing")])
         assert code == 2
         assert "64-bit codes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["+1", "1_0", "\u0661", "-1", "1" * 19])
+    def test_token_not_plain_digits_exit_2(self, tmp_path, capsys, token):
+        # int() accepts the first three; a token id is ASCII digits below 10^18
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"#alphabet 3\n0 1 2\n2 {token} 0\n", encoding="utf-8")
+        code = main(["ingest", "--corpus", str(corpus), "--k", "1", "--l", "1",
+                     "--out", str(tmp_path / "ing")])
+        assert code == 2
+        assert f"{corpus}:3: bad token id" in capsys.readouterr().err
 
 
 class TestBounds:

@@ -507,6 +507,45 @@ class TestRoundTrips:
         assert as_dicts(table) == ({((0,), (1,)): 3, ((0,), (2,)): 4, ((2,), (0,)): 1},
                                    {(0,): 7, (2,): 1})
 
+    def test_token_stream_separators_and_crlf(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"#alphabet 12\r\n# a comment\r\n 0  1\t2 \r\n\r\n11\x0b3\x0c07\r\n4")
+        stream = read_token_stream(path)
+        assert stream == make_stream([0, 1, 2], [11, 3, 7], [4], alphabet_size=12)
+        assert [len(doc) for doc in stream.records] == [3, 3, 1]
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_count_table_write_read_write_identical(self, tmp_path, k, l):
+        lang = random_doubly_stochastic_language(7, 3)
+        stream = sample_bigram_corpus(lang, n_docs=20, doc_len=30, seed=1)
+        table = stream_ngram_counts(stream, k, l, min_count=2, min_y_count=2)
+        first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+        write_count_table(table, first)
+        again = read_count_table(first)
+        for name in ("x_codes", "x_counts", "xy_codes", "xy_counts"):
+            assert np.array_equal(getattr(again, name), getattr(table, name)), name
+        write_count_table(again, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["lf", "crlf", "no_final_newline", "x_count_first"])
+    @pytest.mark.parametrize("where", [0, 1, 3], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["pair", "x_count"])
+    def test_malformed_row_names_its_line(self, tmp_path, kind, where, layout):
+        # ``where`` places the bad row among the three good rows of its kind
+        pairs = ["0\t1\t2", "1\t2\t1", "2\t0\t4"]
+        contexts = ["#x_count 0\t2", "#x_count 1\t1", "#x_count 2\t4"]
+        bad = "0\t1" if kind == "pair" else "#x_count 0,1\t2"
+        (pairs if kind == "pair" else contexts).insert(where, bad)
+        body = contexts + pairs if layout == "x_count_first" else pairs + contexts
+        lines = ["#k 1", "#l 1", "#alphabet 3", *body]
+        newline = "\r\n" if layout == "crlf" else "\n"
+        text = newline.join(lines) + ("" if layout == "no_final_newline" else newline)
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(text.encode())
+        lineno = lines.index(bad) + 1
+        with pytest.raises(CorpusError, match=f"counts.tsv:{lineno}: malformed count row"):
+            read_count_table(path)
+
     def test_rerun_identical_bytes(self, tmp_path):
         stream = make_stream([0, 1, 0, 2, 1, 0])
         table = stream_ngram_counts(stream, 1, 1)

@@ -51,7 +51,9 @@ from .modes import (
 from .sgld import (
     ChainTrace,
     LLCEstimate,
+    QuadraticTarget,
     SGLDConfig,
+    SoftmaxTarget,
     bound_f,
     bound_g,
     bound_mu,

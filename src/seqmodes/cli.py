@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,13 +32,13 @@ from .model import ModelError, SoftmaxModel, fit_model, sample_dataset
 from .modes import ModeError, decomposition_summary, truncated_weighted_svd, weighted_svd
 from .sgld import (
     ChainDivergedError,
+    SGLDConfig,
     SGLDError,
+    SoftmaxTarget,
     WindowViolationError,
-    as_target,
     bound_g,
     bound_g_limit,
     bound_mu,
-    constant_schedule,
     coupled_bound_trial,
     llc_estimate,
     estimator_difference_bound,
@@ -75,16 +76,22 @@ def write_lines(path: Path, lines) -> None:
 
 
 def _field(config: dict, key: str, kind, default=_REQUIRED):
-    """``config[key]`` converted by ``kind``; ``default`` when absent or null."""
+    """``config[key]`` converted by ``kind``; ``default`` when absent or null.
+
+    A float field must be finite.
+    """
     value = config.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"missing required config field {key!r}")
         return default
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(converted):
+        raise ConfigError(f"config field {key!r} must be finite, got {value!r}")
+    return converted
 
 
 def _load_config(args) -> dict:
@@ -253,7 +260,7 @@ def _sgld_config_from(config: dict, n: int, seed: int):
         defaults = {"beta": 10.0 / n, "gamma": 2.5, "T": 400, "epsilon": 1e-3}
     else:
         raise ConfigError(f"unknown preset {preset!r}")
-    return constant_schedule(
+    return SGLDConfig(
         n=n,
         beta=_field(config, "beta", float, defaults["beta"]),
         gamma=_field(config, "gamma", float, defaults["gamma"]),
@@ -284,9 +291,8 @@ def cmd_llc(config: dict, out: Path) -> str:
     fit = fit_model(model, dataset)
     chains = _field(config, "chains", int, 8)
     configs = [_sgld_config_from(config, n, seed=seed + c) for c in range(chains)]
-    traces = run_chains([as_target(model, dataset)] * chains, fit.w, configs)
-    estimates = [llc_estimate(trace, model, dataset, fit.w, cfg).lambda_hat
-                 for trace, cfg in zip(traces, configs)]
+    traces = run_chains([SoftmaxTarget(model, dataset)] * chains, fit.w, configs)
+    estimates = [llc_estimate(trace).lambda_hat for trace in traces]
     _write_trace_csv(out / "trace_chain0.csv", traces[0])
     write_json(out / "llc_estimate.json", {
         "lambda_hat_mean": float(np.mean(estimates)),
@@ -303,13 +309,13 @@ def cmd_llc(config: dict, out: Path) -> str:
 
 def _write_trace_csv(path: Path, trace, deltas=None, g_series=None) -> None:
     dist = trace.distances_to_center()
-    epsilons = trace.config.epsilons
+    epsilon = trace.config.epsilon
     header = "t,epsilon,loss,distance_to_center"
     if deltas is not None:
         header += ",delta,g_bound"
     rows = [header]
     for t in range(trace.T):
-        row = f"{t + 1},{epsilons[t]:.17g},{trace.losses[t]:.17g},{dist[t]:.17g}"
+        row = f"{t + 1},{epsilon:.17g},{trace.losses[t]:.17g},{dist[t]:.17g}"
         if deltas is not None:
             g = g_series[t] if g_series is not None else float("nan")
             row += f",{deltas[t]:.17g},{g:.17g}"
@@ -346,7 +352,7 @@ def cmd_couple(config: dict, out: Path) -> str:
         "truncation_kl": eff.provenance.get("kl_divergence"),
         "hyperparameters": {
             "n": cfg.n, "beta": cfg.beta, "n_beta": cfg.n_beta, "gamma": cfg.gamma,
-            "m": cfg.m, "T": cfg.T, "eps_min": cfg.eps_min, "eps_max": cfg.eps_max,
+            "m": cfg.m, "T": cfg.T, "eps_min": cfg.epsilon, "eps_max": cfg.epsilon,
             "seed": base_seed,
         },
     })
@@ -492,8 +498,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (InfeasibleTruncationError, ChainDivergedError) as exc:
         # only a command raises these, so ``out`` is resolved and exists
-        diagnostics = getattr(exc, "diagnostics", {"step": getattr(exc, "step", None)})
-        write_json(out / "numerical_failure.json", {"error": str(exc), "diagnostics": diagnostics})
+        write_json(out / "numerical_failure.json",
+                   {"error": str(exc), "diagnostics": exc.diagnostics})
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (TruncationError, SGLDError, ModelError, ModeError, MemoryError) as exc:

@@ -219,9 +219,6 @@ class ConditionalOperator:
         dense.setflags(write=False)
         return dense
 
-    def max_column_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix.sum(axis=0) - 1.0)))
-
     def joint(self) -> np.ndarray:
         """Joint q(x, y) = q(y|x) q(x) as a (n_y, n_x) array."""
         return self.matrix * self.marginal[None, :]
@@ -453,14 +450,38 @@ def language_to_json(lang: Language) -> str:
     return json.dumps(payload)
 
 
+MAX_LANGUAGE_ORDER = 64  # numpy's limit on array dimensions
+
+
 def language_from_json(text: str) -> Language:
+    """Inverse of :func:`language_to_json`; a payload of another shape is a DistributionError.
+
+    ``alphabet_size`` and ``K`` must be integers >= 1 (``K`` at most numpy's
+    64 array dimensions), ``probabilities`` a list of size^K numbers and
+    ``positivity_relaxed`` (default false) a boolean.
+    """
     payload = json.loads(text)
-    size = int(payload["alphabet_size"])
-    K = int(payload["K"])
-    joint = np.asarray(payload["probabilities"], dtype=float).reshape((size,) * K)
+    if not isinstance(payload, dict):
+        raise DistributionError(f"a language must be a JSON object, not {type(payload).__name__}")
+    size, K = payload.get("alphabet_size"), payload.get("K")
+    for name, value in (("alphabet_size", size), ("K", K)):
+        if type(value) is not int or value < 1:
+            raise DistributionError(f"language field {name!r} must be an integer >= 1, "
+                                    f"got {value!r}")
+    if K > MAX_LANGUAGE_ORDER:
+        raise DistributionError(f"language field 'K' must be at most {MAX_LANGUAGE_ORDER}, got {K}")
+    probabilities = payload.get("probabilities")
+    if (not isinstance(probabilities, list) or len(probabilities) != size**K
+            or not all(type(v) in (int, float) for v in probabilities)):
+        raise DistributionError(f"language field 'probabilities' must be a list of "
+                                f"{size}^{K} numbers")
+    relaxed = payload.get("positivity_relaxed", False)
+    if type(relaxed) is not bool:
+        raise DistributionError(f"language field 'positivity_relaxed' must be true or false, "
+                                f"got {relaxed!r}")
     return Language(
         alphabet=Alphabet(size),
         K=K,
-        joint=joint,
-        positivity_relaxed=bool(payload.get("positivity_relaxed", False)),
+        joint=np.asarray(probabilities, dtype=float).reshape((size,) * K),
+        positivity_relaxed=relaxed,
     )

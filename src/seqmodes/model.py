@@ -129,10 +129,6 @@ class SoftmaxModel:
         """log p(y|x, w) as an (n_y, n_x) array."""
         return self.log_conditionals(self._check_weights(w)[None])[0]
 
-    def conditional_matrix(self, w: np.ndarray) -> np.ndarray:
-        """p(y|x, w) as an (n_y, n_x) array; columns sum to 1."""
-        return np.exp(self.log_conditional_matrix(w))
-
     def weighted_grad(self, w: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """Σ_{x,y} c(x,y) ∇_w log p(y|x,w) for a coefficient matrix c[y,x]."""
         return self.weighted_grads(self._check_weights(w)[None], coeff)[0]

@@ -1,22 +1,29 @@
 """SGLD sampling of the localized tempered posterior and LLC estimation.
 
-The update is w += (ε_t/2)[−βn ∇L_m(w) + γ(w* − w)] + η_t with η_t drawn per
-coordinate from N(0, ε_t). One engine, :func:`run_chains`, advances every
-chain: the rows of a (C, d) state array move in lockstep, one step at a time.
-Row c draws its noise and its minibatch indices from counter-based streams
-keyed by (seed_c, tag, step), so each row is reproducible on its own and two
-rows configured with the same seed share their randomness by construction.
-Coupled chains are exactly that: two rows that share a seed, each following
-the loss of its own dataset. Full-data losses are evaluated after the loop.
+The update is w += (ε/2)[−βn ∇L_m(w) + γ(w* − w)] + η with η drawn per
+coordinate from N(0, ε), for one constant step size ε per chain
+(:class:`SGLDConfig`; the CLI's ``--preset paper`` is its nβ = 10, γ = 300,
+T = 100, ε = 1e-4 case). A chain runs on a target: anything with a dataset
+size ``n``, a dimension ``dim``, and batched full-data losses and minibatch
+gradients over a (B, dim) stack of states (:class:`SoftmaxTarget`,
+:class:`QuadraticTarget`).
 
-Step sizes come per recorded state in :class:`SGLDConfig`;
-:func:`constant_schedule` builds the constant one that every experiment uses
-(the CLI's ``--preset paper`` is its nβ = 10, γ = 300, T = 100, ε = 1e-4
-case). Also here: the trajectory-divergence bound g(t, A), one function over
-an array of steps, with its hyperparameter window; the estimator-difference
-bound; the volume-scaling oracle for the learning coefficient on analytic
-losses; and the per-seed coupled experiment used to validate both bounds
-against measured insensitivity constants.
+One engine, :func:`run_chains`, advances every chain: the rows of a (C, d)
+state array move in lockstep, one step at a time. Row c draws its noise and
+its minibatch indices from counter-based streams keyed by (seed_c, tag, step),
+so each row is reproducible on its own and two rows configured with the same
+seed share their randomness by construction. Coupled chains are exactly that:
+two rows that share a seed, each following the loss of its own dataset.
+Full-data losses, and the reference loss L_n(w*), are evaluated after the
+loop, so the LLC estimate λ̂ = nβ·(mean L_n(w_t) − L_n(w*)) reads the trace
+alone.
+
+Also here: the trajectory-divergence bound g(t, A), one function over an
+array of steps, with its hyperparameter window; the estimator-difference
+bound (both for a constant step size, where the ε_max/ε_min factor of the
+general statement is 1); the volume-scaling oracle for the learning
+coefficient on analytic losses; and the per-seed coupled experiment used to
+validate both bounds against measured insensitivity constants.
 """
 
 from __future__ import annotations
@@ -48,77 +55,54 @@ class WindowViolationError(SGLDError):
 
 
 class ChainDivergedError(SGLDError):
-    def __init__(self, message: str, step: int, last_state: np.ndarray, row: int = 0):
+    """A chain reached a non-finite state.
+
+    ``diagnostics`` holds the 1-based ``step`` that produced it and the
+    ``row`` of the chain; ``last_state`` is that row's last finite state.
+    """
+
+    def __init__(self, message: str, diagnostics: dict, last_state: np.ndarray):
         super().__init__(message)
-        self.step = step
+        self.diagnostics = diagnostics
         self.last_state = last_state
-        self.row = row
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SGLDConfig:
-    """Hyperparameters for one chain; epsilons has one entry per recorded state."""
+    """Hyperparameters for one chain with the constant step size ``epsilon``."""
 
     n: int
     beta: float
     gamma: float
     m: int
     T: int
-    epsilons: np.ndarray
+    epsilon: float
     seed: int = 0
     weight_norm_cap: float | None = None
     burn_in: float = 0.5
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        if eps.shape != (self.T,):
-            raise SGLDError(f"epsilons must have shape ({self.T},)")
-        if np.any(eps <= 0):
-            raise SGLDError("step sizes must be positive")
+        if not self.epsilon > 0:
+            raise SGLDError("the step size must be positive")
         if self.n <= 0 or self.beta <= 0 or self.gamma <= 0 or self.T <= 1:
             raise SGLDError("n, beta, gamma must be positive and T > 1")
         if not 1 <= self.m <= self.n:
             raise SGLDError("minibatch size must satisfy 1 <= m <= n")
         if not 0 <= self.burn_in < 1:
             raise SGLDError("burn_in fraction must be in [0, 1)")
-        eps = eps.copy()
-        eps.setflags(write=False)
-        object.__setattr__(self, "epsilons", eps)
 
     @property
     def n_beta(self) -> float:
         return self.n * self.beta
 
-    @property
-    def eps_min(self) -> float:
-        return float(self.epsilons.min())
-
-    @property
-    def eps_max(self) -> float:
-        return float(self.epsilons.max())
-
-    def with_seed(self, seed: int) -> "SGLDConfig":
-        return replace(self, seed=int(seed))
-
     def window_check(self, M: float) -> tuple[bool, str]:
-        """Whether M·nβ ∈ (γ − 2/ε_max, γ)."""
-        lo = self.gamma - 2.0 / self.eps_max
+        """Whether M·nβ ∈ (γ − 2/ε, γ)."""
+        lo = self.gamma - 2.0 / self.epsilon
         hi = self.gamma
         value = M * self.n_beta
         ok = lo < value < hi
         text = f"M·n·β = {value:.6g} must lie in ({lo:.6g}, {hi:.6g})"
         return ok, text
-
-
-def constant_schedule(
-    n: int, beta: float, gamma: float, m: int, T: int, epsilon: float, seed: int = 0,
-    weight_norm_cap: float | None = None, burn_in: float = 0.5,
-) -> SGLDConfig:
-    return SGLDConfig(
-        n=n, beta=beta, gamma=gamma, m=m, T=T,
-        epsilons=np.full(T, float(epsilon)), seed=seed,
-        weight_norm_cap=weight_norm_cap, burn_in=burn_in,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +150,6 @@ class QuadraticTarget:
         return self.curvature * W
 
 
-def as_target(model, dataset=None):
-    if isinstance(model, SoftmaxModel):
-        if dataset is None:
-            raise SGLDError("a dataset is required with a conditional model")
-        return SoftmaxTarget(model, dataset)
-    for attr in ("loss", "grad", "dim", "n"):
-        if not hasattr(model, attr):
-            raise SGLDError(f"target lacks required attribute {attr!r}")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Chains.
 # ---------------------------------------------------------------------------
@@ -200,7 +173,7 @@ def sgld_step(
 
 @dataclass(eq=False)
 class ChainTrace:
-    """States w_1..w_T with recorded full-data losses.
+    """States w_1..w_T with recorded full-data losses and L_n(w*).
 
     The first state is the initial point; step t (1-based) produced state t
     from noise and minibatch streams keyed by (config.seed, t), so the whole
@@ -211,6 +184,7 @@ class ChainTrace:
     losses: np.ndarray
     config: SGLDConfig
     w_star: np.ndarray
+    reference_loss: float
     norm_cap_violations: int = 0
 
     @property
@@ -240,7 +214,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     indices from the (seed_c, tag, t) streams; rows with equal seeds draw them
     once and share them. Each step evaluates one batched gradient per distinct
     target; full-data losses are evaluated after the loop in blocks of at most
-    ``LOSS_BLOCK`` states.
+    ``LOSS_BLOCK`` states, and L_n(w*) once per distinct target.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -256,7 +230,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     states = np.empty((rows, T, d))
     states[:, 0] = w_star if init is None else np.asarray(init, dtype=float)
 
-    eps = np.array([config.epsilons for config in configs])  # (C, T)
+    eps = np.array([[config.epsilon] for config in configs])
     sqrt_eps = np.sqrt(eps)
     n_beta = np.array([[config.n_beta] for config in configs])
     gamma = np.array([[config.gamma] for config in configs])
@@ -282,20 +256,22 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         row_idx = None if idx is None else idx[seed_of_row]
         for target, members, _ in groups:
             grad[members] = target.grad(w[members], None if row_idx is None else row_idx[members])
-        eta = draws[seed_of_row] * sqrt_eps[:, t, None]
-        w = sgld_step(w, grad, w_star, eps[:, t, None], n_beta, gamma, eta)
+        eta = draws[seed_of_row] * sqrt_eps
+        w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta)
         if not np.isfinite(w).all():
             c = int(np.flatnonzero(~np.isfinite(w).all(axis=1))[0])
             raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
-                                     t, states[c, t - 1].copy(), row=c)
+                                     {"step": t, "row": c}, states[c, t - 1].copy())
         states[:, t] = w
 
     losses = np.empty((rows, T))
+    reference = np.empty(rows)
     for target, members, count in groups:
         block = max(1, LOSS_BLOCK // count)
         for t0 in range(0, T, block):
             chunk = states[members, t0:t0 + block]
             losses[members, t0:t0 + block] = target.loss(chunk.reshape(-1, d)).reshape(count, -1)
+        reference[members] = target.loss(w_star[None])[0]
     traces = []
     for c, config in enumerate(configs):
         violations = 0
@@ -303,14 +279,15 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
             violations = int(np.count_nonzero(
                 row_norms(states[c, 1:] - w_star) > config.weight_norm_cap))
         traces.append(ChainTrace(states=states[c], losses=losses[c], config=config,
-                                 w_star=w_star, norm_cap_violations=violations))
+                                 w_star=w_star, reference_loss=float(reference[c]),
+                                 norm_cap_violations=violations))
     return traces
 
 
-def run_chain(model, dataset, w_star: np.ndarray, config: SGLDConfig,
+def run_chain(target, w_star: np.ndarray, config: SGLDConfig,
               init: np.ndarray | None = None) -> ChainTrace:
     """T-state chain started at ``init`` (default: the localization center)."""
-    return run_chains([as_target(model, dataset)], w_star, [config], init)[0]
+    return run_chains([target], w_star, [config], init)[0]
 
 
 @dataclass(frozen=True)
@@ -323,21 +300,17 @@ class LLCEstimate:
     kept_states: int
 
 
-def llc_estimate(trace: ChainTrace, model, dataset, w_star: np.ndarray,
-                 config: SGLDConfig | None = None) -> LLCEstimate:
-    """λ̂ = nβ·[mean_t L_n(w_t) − L_n(w*)], averaging after the burn-in cut."""
-    config = config or trace.config
-    target = as_target(model, dataset)
-    start = int(config.burn_in * trace.T)
-    kept = trace.losses[start:]
+def llc_estimate(trace: ChainTrace) -> LLCEstimate:
+    """λ̂ = nβ·[mean_t L_n(w_t) − L_n(w*)], averaging after the config's burn-in cut."""
+    config = trace.config
+    kept = trace.losses[int(config.burn_in * trace.T):]
     if kept.size == 0:
         raise SGLDError("burn-in removed the whole trace")
-    ref = float(target.loss(np.asarray(w_star, dtype=float)[None, :])[0])
     mean_loss = float(kept.mean())
     return LLCEstimate(
-        lambda_hat=float(config.n_beta * (mean_loss - ref)),
+        lambda_hat=float(config.n_beta * (mean_loss - trace.reference_loss)),
         mean_loss=mean_loss,
-        reference_loss=ref,
+        reference_loss=trace.reference_loss,
         n_beta=config.n_beta,
         burn_in=config.burn_in,
         kept_states=int(kept.size),
@@ -351,21 +324,17 @@ class CoupledChains:
     deltas: np.ndarray  # ‖w_t − w̃_t‖ for t = 1..T (index 0 is the shared start)
 
 
-def run_coupled_chains(model, dataset_true: Dataset, dataset_truncated: Dataset,
-                       w_star: np.ndarray, config: SGLDConfig,
-                       init: np.ndarray | None = None) -> CoupledChains:
+def run_coupled_chains(target_true, target_truncated, w_star: np.ndarray,
+                       config: SGLDConfig, init: np.ndarray | None = None) -> CoupledChains:
     """Two chains with identical noise and minibatch schedules.
 
-    The first follows gradients of the loss on ``dataset_true``, the second on
-    ``dataset_truncated``; both are localized at the same w* and start at the
+    The first follows gradients of ``target_true``, the second of
+    ``target_truncated``; both are localized at the same w* and start at the
     same point. They are two rows of one :func:`run_chains` call that share
-    the config, hence the seed.
+    the config, hence the seed (and so both targets must have its n).
     """
-    target_a = as_target(model, dataset_true)
-    target_b = as_target(model, dataset_truncated)
-    if target_a.n != target_b.n:
-        raise SGLDError("coupled datasets must have matched sizes")
-    trace_a, trace_b = run_chains([target_a, target_b], w_star, [config, config], init)
+    trace_a, trace_b = run_chains([target_true, target_truncated], w_star,
+                                  [config, config], init)
     return CoupledChains(trace_true=trace_a, trace_truncated=trace_b,
                          deltas=row_norms(trace_a.states - trace_b.states))
 
@@ -381,16 +350,16 @@ def _require_window(config: SGLDConfig, M: float) -> None:
 
 
 def bound_mu(config: SGLDConfig, M: float) -> float:
-    """μ = 1 + (ε_min/2)(M·nβ − γ); lies in (0, 1) inside the window."""
+    """μ = 1 + (ε/2)(M·nβ − γ); lies in (0, 1) inside the window."""
     _require_window(config, M)
-    mu = 1.0 + 0.5 * config.eps_min * (M * config.n_beta - config.gamma)
+    mu = 1.0 + 0.5 * config.epsilon * (M * config.n_beta - config.gamma)
     return float(mu)
 
 
 def bound_g_limit(config: SGLDConfig, A: float, xi: float, M: float) -> float:
-    """(ε_max/ε_min)(A + ξ)/(γ/nβ − M), the limit of g(t, A) as t → ∞."""
+    """(A + ξ)/(γ/nβ − M), the limit of g(t, A) as t → ∞."""
     _require_window(config, M)
-    return (config.eps_max / config.eps_min) * (A + xi) / (config.gamma / config.n_beta - M)
+    return (A + xi) / (config.gamma / config.n_beta - M)
 
 
 def bound_g(t, A: float, xi: float, config: SGLDConfig, M: float):
@@ -414,9 +383,7 @@ def estimator_difference_bound(A: float, B: float, xi: float, kappa: float,
                        Q: float, M: float, config: SGLDConfig) -> float:
     """Bound on |λ̂ − λ̂ after truncation| for insensitivity constants (A, B)."""
     _require_window(config, M)
-    first = (config.eps_max / config.eps_min) * config.n_beta * Q * (A + xi) / (
-        config.gamma / config.n_beta - M
-    )
+    first = config.n_beta * Q * (A + xi) / (config.gamma / config.n_beta - M)
     second = 2.0 * config.n_beta * (B + kappa)
     return float(first + second)
 
@@ -431,7 +398,7 @@ class VolumeScalingFit:
     m_hat: float
     log_correction_used: bool
     condition_number: float
-    epsilons: np.ndarray
+    levels: np.ndarray
     volumes: np.ndarray
     usable: np.ndarray
 
@@ -440,39 +407,40 @@ def volume_scaling_fit(
     loss_fn,
     dim: int,
     radius: float,
-    epsilons: np.ndarray,
+    levels: np.ndarray,
     n_samples: int = 2_000_000,
     seed: int = 0,
     min_count: int = 20,
 ) -> VolumeScalingFit:
     """Estimate (λ, m) from V(ε) ∝ ε^λ (−log ε)^{m−1} near a minimum at 0.
 
-    V(ε) is estimated by uniform sampling of the radius-``radius`` ball, and
-    log V is regressed on log ε with precision weights ~ sqrt(count). The
-    log(−log ε) correction regressor is nearly collinear with log ε on
-    practical ranges, so it is kept only when it explains the residuals far
-    better (factor 4 in weighted RSS); otherwise m = 1 is reported. The
-    design condition number records how distinguishable the two were.
+    ``levels`` is the grid of loss levels ε. V(ε) is estimated by uniform
+    sampling of the radius-``radius`` ball, and log V is regressed on log ε
+    with precision weights ~ sqrt(count). The log(−log ε) correction
+    regressor is nearly collinear with log ε on practical ranges, so it is
+    kept only when it explains the residuals far better (factor 4 in weighted
+    RSS); otherwise m = 1 is reported. The design condition number records
+    how distinguishable the two were.
     """
-    epsilons = np.asarray(epsilons, dtype=float)
-    if np.any(epsilons >= 1.0) or np.any(epsilons <= 0.0):
-        raise SGLDError("epsilon grid must lie in (0, 1) for the log-log fit")
+    levels = np.asarray(levels, dtype=float)
+    if np.any(levels >= 1.0) or np.any(levels <= 0.0):
+        raise SGLDError("loss levels must lie in (0, 1) for the log-log fit")
     rng = keyed_generator(seed, VOLUME_TAG)
     chunk = 250_000
-    counts = np.zeros(epsilons.size, dtype=np.int64)
+    counts = np.zeros(levels.size, dtype=np.int64)
     remaining = int(n_samples)
     while remaining > 0:
         size = min(chunk, remaining)
         values = loss_fn(_ball_sample(rng, np.zeros(dim), radius, size))
-        counts += (values[None, :] < epsilons[:, None]).sum(axis=1)
+        counts += (values[None, :] < levels[:, None]).sum(axis=1)
         remaining -= size
     ball_volume = (np.pi ** (dim / 2) / math.gamma(dim / 2 + 1)) * radius**dim
     volumes = counts / float(n_samples) * ball_volume
     usable = counts >= min_count
     if usable.sum() < 4:
-        raise SGLDError("degenerate fit: fewer than 4 epsilon levels are usable")
-    x1 = np.log(epsilons[usable])
-    x2 = np.log(-np.log(epsilons[usable]))
+        raise SGLDError("degenerate fit: fewer than 4 loss levels are usable")
+    x1 = np.log(levels[usable])
+    x2 = np.log(-np.log(levels[usable]))
     weights = np.sqrt(counts[usable].astype(float))
     y = np.log(volumes[usable])
     plain = np.column_stack([x1, np.ones(x1.size)])
@@ -487,7 +455,7 @@ def volume_scaling_fit(
         m_hat=float(coef_full[1] + 1.0) if use_correction else 1.0,
         log_correction_used=bool(use_correction),
         condition_number=float(np.linalg.cond(full)),
-        epsilons=epsilons,
+        levels=levels,
         volumes=volumes,
         usable=usable,
     )
@@ -570,8 +538,9 @@ def coupled_bound_trial(
     dataset_true = sample_dataset(joint_true, config.n, seed=seed)
     dataset_trunc = sample_dataset(joint_truncated, config.n, seed=seed + 1_000_003)
     w_star = fit_model(model, dataset_true).w
-    run_config = config.with_seed(seed)
-    coupled = run_coupled_chains(model, dataset_true, dataset_trunc, w_star, run_config)
+    run_config = replace(config, seed=seed, burn_in=0.0)
+    coupled = run_coupled_chains(SoftmaxTarget(model, dataset_true),
+                                 SoftmaxTarget(model, dataset_trunc), w_star, run_config)
 
     excursion = max(
         coupled.trace_true.distances_to_center().max(),
@@ -597,10 +566,8 @@ def coupled_bound_trial(
     delta_ok = False
     est_bound = None
     llc_ok = False
-    est_true = llc_estimate(coupled.trace_true, model, dataset_true, w_star,
-                            replace(run_config, burn_in=0.0))
-    est_trunc = llc_estimate(coupled.trace_truncated, model, dataset_trunc, w_star,
-                             replace(run_config, burn_in=0.0))
+    est_true = llc_estimate(coupled.trace_true)
+    est_trunc = llc_estimate(coupled.trace_truncated)
     diff = abs(est_true.lambda_hat - est_trunc.lambda_hat)
     if window_ok:
         g_series = bound_g(np.arange(1, config.T + 1), report.A, 0.0, run_config, lip.M)

@@ -41,8 +41,8 @@ from seqmodes.modes import (
 )
 from seqmodes.sgld import (
     QuadraticTarget,
+    SGLDConfig,
     SoftmaxTarget,
-    constant_schedule,
     coupled_bound_trial,
     llc_estimate,
     run_chains,
@@ -214,10 +214,10 @@ def test_criterion_08_regular_model_llc():
     dataset = sample_dataset(op.joint(), n, seed=500)
     fit = fit_model(model, dataset)
     beta = 1.0 / np.log(n)
-    configs = [constant_schedule(n=n, beta=beta, gamma=1.0, m=2048, T=10_000,
-                                 epsilon=5e-4, seed=seed) for seed in range(8)]
+    configs = [SGLDConfig(n=n, beta=beta, gamma=1.0, m=2048, T=10_000,
+                          epsilon=5e-4, seed=seed) for seed in range(8)]
     traces = run_chains([SoftmaxTarget(model, dataset)] * 8, fit.w, configs)
-    lams = [llc_estimate(trace, model, dataset, fit.w).lambda_hat for trace in traces]
+    lams = [llc_estimate(trace).lambda_hat for trace in traces]
     mean = float(np.mean(lams))
     elapsed = time.perf_counter() - t0
     ok = 0.75 <= mean <= 1.25 and elapsed < 300.0
@@ -229,10 +229,10 @@ def test_criterion_09_volume_oracle_agreement():
     n, nbeta, gamma = 1000, 1000.0, 100.0
     target = QuadraticTarget(np.array([1.0]), n=n)
     closed_form = 0.5 * nbeta / (nbeta + gamma)
-    configs = [constant_schedule(n=n, beta=nbeta / n, gamma=gamma, m=n, T=100_000,
-                                 epsilon=2e-5, seed=seed) for seed in range(8)]
+    configs = [SGLDConfig(n=n, beta=nbeta / n, gamma=gamma, m=n, T=100_000,
+                          epsilon=2e-5, seed=seed) for seed in range(8)]
     traces = run_chains([target] * 8, np.zeros(1), configs)
-    lams = [llc_estimate(trace, target, None, np.zeros(1)).lambda_hat for trace in traces]
+    lams = [llc_estimate(trace).lambda_hat for trace in traces]
     sgld_rel = abs(float(np.mean(lams)) - closed_form) / closed_form
 
     eps_grid = np.geomspace(1e-6, 1e-2, 17)
@@ -260,7 +260,7 @@ def coupled_experiment():
     eff = truncate_kl(dec, 1)  # mid-spectrum cutoff: drop the smallest of 3 modes
     model = SoftmaxModel(k=1, l=1, alphabet_size=3)
     n = 20_000
-    cfg = constant_schedule(n=n, beta=10.0 / n, gamma=2.5, m=n, T=400, epsilon=1e-3)
+    cfg = SGLDConfig(n=n, beta=10.0 / n, gamma=2.5, m=n, T=400, epsilon=1e-3)
     results = [coupled_bound_trial(model, op.joint(), eff.joint(), cfg, seed=s)
                for s in range(100)]
     return results, time.perf_counter() - t0

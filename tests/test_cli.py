@@ -18,7 +18,7 @@ from seqmodes.distribution import (
     random_language,
 )
 from seqmodes.modes import ModeError
-from seqmodes.sgld import bound_g, constant_schedule
+from seqmodes.sgld import SGLDConfig, bound_g
 
 
 @pytest.fixture()
@@ -294,6 +294,22 @@ class TestLlcAndCouple:
         assert code == 2
         assert "input error: n must be at least 1, got -5" in capsys.readouterr().err
 
+    def test_diverged_chain_exit_4(self, tmp_path, capsys):
+        lang = tmp_path / "lang.json"
+        lang.write_text(language_to_json(random_language(5, 3, 2)))
+        out = tmp_path / "llc"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["llc", "--language", str(lang), "--k", "1", "--l", "1",
+                         "--epsilon", "10", "--T", "1000", "--chains", "3", "--n", "1000",
+                         "--out", str(out)])
+        assert code == 4
+        failure = json.loads((out / "numerical_failure.json").read_text())
+        step = failure["diagnostics"]["step"]
+        assert failure["diagnostics"] == {"step": step, "row": 0} and step > 1
+        assert failure["error"] == f"non-finite state in chain 0 at step {step}"
+        assert f"numerical failure: {failure['error']}" in capsys.readouterr().err
+        assert not (out / "llc_estimate.json").exists()
+
     def test_couple_zero_n_exit_2(self, fixture_language, tmp_path, capsys):
         code = main(["couple", "--language", str(fixture_language), "--k", "1", "--l", "1",
                      "--chi", "1", "--n", "0", "--out", str(tmp_path / "couple")])
@@ -345,7 +361,8 @@ class TestCommandProtocol:
         ("{not json", "is not valid JSON"),
         ("[1, 2]", "must hold a JSON object, not list"),
         ('{"language": "LANGUAGE", "k": "one", "l": 1}', "config field 'k' must be int, got 'one'"),
-    ], ids=["invalid_json", "json_array", "k_not_int"])
+        ('{"language": "LANGUAGE", "k": Infinity, "l": 1}', "config field 'k' must be int, got inf"),
+    ], ids=["invalid_json", "json_array", "k_not_int", "k_infinite"])
     def test_malformed_config_exit_2(self, fixture_language, tmp_path, capsys, text, message):
         config = tmp_path / "cfg.json"
         config.write_text(text.replace("LANGUAGE", str(fixture_language)))
@@ -391,6 +408,50 @@ class TestInputErrors:
                      "--out", str(out)])
         assert code == 2
         assert f"input error: out {out} is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("llc", "epsilon", "nan"), ("llc", "epsilon", "inf"), ("llc", "beta", "nan"),
+        ("llc", "beta", "inf"), ("llc", "gamma", "nan"), ("llc", "gamma", "inf"),
+        ("bounds", "A", "nan"),
+    ])
+    def test_non_finite_float_exit_2(self, fixture_language, tmp_path, capsys,
+                                     command, flag, value):
+        fields = {"llc": {"language": str(fixture_language), "k": "1", "l": "1", "n": "300",
+                          "T": "20", "chains": "1"},
+                  "bounds": {"A": "1", "B": "0.01", "Q": "5", "M": "20", "n": "1000"}}[command]
+        fields[flag] = value
+        out = tmp_path / "out"
+        code = main([command, *(arg for key, val in fields.items() for arg in (f"--{key}", val)),
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"input error: config field {flag!r} must be finite, got {float(value)!r}"
+                in capsys.readouterr().err)
+        assert sorted(path.name for path in out.iterdir()) == ["resolved_config.json"]
+
+    @pytest.mark.parametrize("payload, message", [
+        ("{}", "'alphabet_size' must be an integer >= 1, got None"),
+        ("[]", "a language must be a JSON object, not list"),
+        ('{"alphabet_size": 2, "K": true, "probabilities": [0.5, 0.5]}',
+         "'K' must be an integer >= 1, got True"),
+        ('{"alphabet_size": 2, "K": 2, "probabilities": [0.5, 0.5]}',
+         "'probabilities' must be a list of 2^2 numbers"),
+        ('{"alphabet_size": "x", "K": 2, "probabilities": [0.25, 0.25, 0.25, 0.25]}',
+         "'alphabet_size' must be an integer >= 1, got 'x'"),
+        ('{"alphabet_size": 2, "K": 2, "probabilities": "abc"}',
+         "'probabilities' must be a list of 2^2 numbers"),
+        ('{"alphabet_size": 2, "K": 2, "probabilities": [0.25, 0.25, 0.25, 0.25], '
+         '"positivity_relaxed": "no"}', "'positivity_relaxed' must be true or false, got 'no'"),
+        ('{"alphabet_size": 1, "K": 70, "probabilities": [1.0]}',
+         "'K' must be at most 64, got 70"),
+    ], ids=["empty_object", "array", "K_bool", "short_probabilities", "size_not_int",
+            "probabilities_string", "relaxed_string", "K_above_array_limit"])
+    def test_language_payload_not_a_language_exit_2(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "lang.json"
+        path.write_text(payload)
+        code = main(["decompose", "--language", str(path), "--k", "1", "--l", "1",
+                     "--out", str(tmp_path / "dec")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", ["directory", "empty", "not_utf8"])
     @pytest.mark.parametrize("flag", ["language", "counts", "corpus"])
@@ -473,7 +534,7 @@ class TestBounds:
         rows = (out / "bound_table.csv").read_text().splitlines()
         assert rows[0] == "t,g"
         table = [float(row.split(",")[1]) for row in rows[1:]]
-        cfg = constant_schedule(n=1000, beta=0.01, gamma=300.0, m=1000, T=100, epsilon=1e-4)
+        cfg = SGLDConfig(n=1000, beta=0.01, gamma=300.0, m=1000, T=100, epsilon=1e-4)
         series = bound_g(np.arange(1, 101), 1.0, 0.0, cfg, 20.0)
         assert [f"{v:.17g}" for v in table] == [f"{v:.17g}" for v in series]
         assert all(table[t - 1] == bound_g(t, 1.0, 0.0, cfg, 20.0) for t in range(1, 101))

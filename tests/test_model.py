@@ -51,7 +51,7 @@ def models_under_test():
 class TestSoftmaxBasics:
     def test_zero_weights_uniform(self):
         model = SoftmaxModel(k=1, l=2, alphabet_size=2)
-        p = model.conditional_matrix(np.zeros(model.dim))
+        p = np.exp(model.log_conditional_matrix(np.zeros(model.dim)))
         np.testing.assert_allclose(p, 0.25)
         logp = model.log_conditional_matrix(np.zeros(model.dim))
         np.testing.assert_allclose(logp, -2 * np.log(2))
@@ -61,7 +61,7 @@ class TestSoftmaxBasics:
         for model in models_under_test():
             for _ in range(5):
                 w = rng.standard_normal(model.dim)
-                p = model.conditional_matrix(w)
+                p = np.exp(model.log_conditional_matrix(w))
                 np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
                 assert np.all(p > 0)
 
@@ -74,7 +74,7 @@ class TestSoftmaxBasics:
     def test_nonfinite_weights_rejected(self):
         model = SoftmaxModel(k=1, l=1, alphabet_size=2)
         with pytest.raises(ModelError):
-            model.conditional_matrix(np.array([np.nan, 0.0]))
+            model.log_conditional_matrix(np.array([np.nan, 0.0]))
 
 
 class TestGradients:
@@ -307,7 +307,7 @@ class TestFit:
         model = SoftmaxModel(k=1, l=1, alphabet_size=2)
         fit = fit_model(model, op.joint())
         assert fit.converged
-        fitted = model.conditional_matrix(fit.w)
+        fitted = np.exp(model.log_conditional_matrix(fit.w))
         kl = float(np.sum(op.joint() * (np.log(op.matrix) - np.log(fitted))))
         assert kl < 1e-8
 

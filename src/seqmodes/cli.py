@@ -11,7 +11,8 @@ fields. :func:`main` runs the protocol that all seven commands share:
 4. print ``wrote <out>/<artifact>``.
 
 Identical config and inputs produce identical bytes. Exit codes: 0 success,
-2 input error, 3 missing upstream artifact or config file, 4 numerical
+2 input error (an input or ``out`` that cannot be used, a config field of the
+wrong type), 3 missing upstream artifact or config file, 4 numerical
 failure. On exit 4, ``numerical_failure.json`` with the diagnostics is written
 into the resolved output directory, wherever ``out`` was given.
 """
@@ -75,8 +76,19 @@ def write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _typed(key: str, value, kind):
+    """``value`` as ``kind``, if its JSON type is ``kind``; an int also serves a float field."""
+    types = (int, float) if kind is float else kind
+    if isinstance(value, types) and isinstance(value, bool) == (kind is bool):
+        try:
+            return kind(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {value!r}")
+
+
 def _field(config: dict, key: str, kind, default=_REQUIRED):
-    """``config[key]`` converted by ``kind``; ``default`` when absent or null.
+    """``config[key]`` as ``kind`` (see :func:`_typed`); ``default`` when absent or null.
 
     A float field must be finite.
     """
@@ -85,17 +97,17 @@ def _field(config: dict, key: str, kind, default=_REQUIRED):
         if default is _REQUIRED:
             raise ConfigError(f"missing required config field {key!r}")
         return default
-    try:
-        converted = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {value!r}") from None
+    converted = _typed(key, value, kind)
     if kind is float and not math.isfinite(converted):
         raise ConfigError(f"config field {key!r} must be finite, got {value!r}")
     return converted
 
 
 def _load_config(args) -> dict:
-    """The config file's fields, overridden by the flags given, plus command, seed and out."""
+    """The config file's fields, overridden by the flags given, plus command, seed and out.
+
+    A field that the command also takes as a flag must have the flag's type.
+    """
     config: dict = {}
     if args.config:
         path = _regular_file(Path(args.config), "config file")
@@ -107,7 +119,10 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config file {path} must hold a JSON object, "
                               f"not {type(config).__name__}")
     config.update({key: value for key, value in vars(args).items()
-                   if key not in ("config", "func", "command") and value is not None})
+                   if key not in ("config", "func", "command", "kinds") and value is not None})
+    for key, kind in args.kinds.items():
+        if config.get(key) is not None:
+            _typed(key, config[key], kind)
     config["command"] = args.command
     config.setdefault("seed", 0)
     config["out"] = str(Path(_field(config, "out", str, ".")))
@@ -208,7 +223,7 @@ def cmd_decompose(config: dict, out: Path) -> str:
         payload["singular_values"] += [0.0] * padding
         payload["rank_padded"] = True
     write_json(out / "decomposition.json", payload)
-    if config.get("dense"):
+    if _field(config, "dense", bool, False):
         write_json(out / "decomposition_dense.json", {
             "singular_values": dec.singular_values,
             "left_vectors": dec.left_vectors,
@@ -302,6 +317,7 @@ def cmd_llc(config: dict, out: Path) -> str:
         "chains": chains,
         "fit_converged": fit.converged,
         "fit_grad_norm": fit.grad_norm,
+        "norm_cap_violations": [trace.norm_cap_violations for trace in traces],
         "seed": seed,
     })
     return "llc_estimate.json"
@@ -385,6 +401,9 @@ def cmd_examples(config: dict, out: Path) -> str:
     stream = corpus_mod.read_token_stream(_input_path(config, "corpus", "corpus file"))
     op = _load_operator(config)
     component = _field(config, "component", int, 0)
+    max_examples = _field(config, "max_examples", int, 20)
+    if max_examples < 0:
+        raise ConfigError(f"max_examples must be at least 0, got {max_examples}")
     # The leading component + 1 triples serve a positive mode; a kernel or
     # out-of-range component needs the full decomposition.
     dec = truncated_weighted_svd(op, rank=max(component, 0) + 1)
@@ -399,7 +418,7 @@ def cmd_examples(config: dict, out: Path) -> str:
         f"component {component}: {len(examples)} example(s)",
         *(f"... {' '.join(map(str, before))} [{_label(x)} | {_label(y)}] "
           f"{' '.join(map(str, after))} ..."
-          for before, x, y, after in examples[:_field(config, "max_examples", int, 20)]),
+          for before, x, y, after in examples[:max_examples]),
     ])
     return "contextual_examples.txt"
 
@@ -421,12 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--out", help="output directory")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, kinds={"seed": int, "out": str})  # config field -> type
         return p
 
     def add(p, kind, *names):  # "--min-count" sets config field "min_count"
         for name in names:
-            p.add_argument(f"--{name}", type=kind)
+            if kind is bool:
+                p.add_argument(f"--{name}", action="store_true", default=None)
+            else:
+                p.add_argument(f"--{name}", type=kind)
+            p.get_default("kinds")[name.replace("-", "_")] = kind
 
     p = command("ingest", cmd_ingest, "count n-gram windows in a token corpus")
     add(p, str, "corpus")
@@ -437,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     add(p, int, "k", "l", "rank", "top")
     add(p, float, "lambda-smooth")
     p.add_argument("--policy", choices=["paper", "stochastic"])
-    p.add_argument("--dense", action="store_true", default=None)
+    add(p, bool, "dense")
 
     p = command("truncate", cmd_truncate, "effective distribution from a mode cutoff")
     add(p, str, "counts", "language")
@@ -490,6 +513,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
+    except OSError as exc:  # an input or ``out`` the system will not let us use
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except WindowViolationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT

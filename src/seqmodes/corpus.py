@@ -279,6 +279,8 @@ def extract_contextual_examples(
                           f"space has {dec.n_left} dimensions")
     if not 0 < loading_fraction <= 1:
         raise CorpusError("loading_fraction must be in (0, 1]")
+    if window < 0:
+        raise CorpusError(f"window must be at least 0, got {window}")
     left, right = np.abs(dec.left_vectors[:, component]), dec.right_vectors[:, component]
     top_y = dec.y_labels[int(np.argmax(left >= (1.0 - TIE_RTOL) * left.max()))]
     max_mag = float(np.max(np.abs(right)))

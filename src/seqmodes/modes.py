@@ -6,10 +6,11 @@ dot-product space on continuations. Computationally this is the ordinary SVD
 of C·diag(q^{1/2}): right singular vectors are stored in these "D-coordinates"
 ṽ_α (unit in the dot product), and the original-coordinate evaluations are
 recovered via v̂*_α(x) = ṽ_α(x)·q(x)^{-1/2}. The dense path returns every
-triple; the iterative path returns the leading ones in the same type, with
-the same sign convention, and reaches the operator only through products
-with its factored form (sparse counts for a corpus operator), never through
-the dense matrix.
+triple; the iterative path returns the leading ones in the same type, and
+reaches the operator only through products with its factored form (sparse
+counts for a corpus operator), never through the dense matrix. One builder
+turns either path's SVD factors into the decomposition, so both share the
+kernel zeros, the sign convention and the tie order.
 
 Also here: mode propensities, the orthonormal basis e_{αβ}(x)(y) =
 v̂*_α(x)·u_β(y) of the weighted function space, pairings of parametric models
@@ -42,11 +43,13 @@ class ModeDecomposition:
     padded with exact zeros past the rank). ``right_vectors`` columns are the
     ṽ_α in D-coordinates; ``left_vectors`` columns are the u_β, the first
     ``n_plus`` of which are paired with positive singular values and the rest
-    complete them to an orthonormal basis of the continuation space
-    (deterministic Gram-Schmidt over the standard basis). Sign convention:
-    the largest-magnitude entry of u_α (of ṽ_α for zero modes and completion
-    vectors) is positive. A partial decomposition (from
-    :func:`truncated_weighted_svd`) holds only the leading triples.
+    complete them to an orthonormal basis of the continuation space (the
+    SVD's own left vectors past the rank). Sign convention: the
+    largest-magnitude entry of u_α is positive for paired columns, and every
+    other column (zero modes, completion vectors) is signed by its own
+    largest entry. A partial decomposition (from
+    :func:`truncated_weighted_svd`) holds only the leading triples, built by
+    the same rules.
     """
 
     k: int
@@ -55,7 +58,6 @@ class ModeDecomposition:
     left_vectors: np.ndarray
     right_vectors: np.ndarray
     marginal: np.ndarray
-    rank_tol: float
     n_plus: int
     x_labels: tuple[tuple[int, ...], ...]
     y_labels: tuple[tuple[int, ...], ...]
@@ -93,41 +95,47 @@ class ModeDecomposition:
 def _orient(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip paired columns of u and v together so the largest-|u| entry is positive.
 
-    Flipping ṽ_α with u_α keeps C ṽ_α = s_α u_α.
+    Flipping ṽ_α with u_α keeps C ṽ_α = s_α u_α. ``_orient(x, x)[0]`` signs
+    the columns of x alone.
     """
     top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     sign = np.where(top < 0, -1.0, 1.0)
     return u * sign, v * sign
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so the largest-magnitude entry of each is positive."""
-    return _orient(vectors, vectors)[0]
+def _decomposition(op: ConditionalOperator, u: np.ndarray, s: np.ndarray,
+                   vt: np.ndarray) -> ModeDecomposition:
+    """The decomposition from SVD factors of C·diag(√q), with s descending.
 
-
-def _complete_orthonormal(partial: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full basis of R^dim.
-
-    Residuals of the standard basis vectors, taken in index order, are
-    orthonormalized (twice, for stability); near-dependent candidates
-    (residual norm at most 1e-8) are skipped. Deterministic by construction.
+    ``vt`` columns are the ṽ_α; ``s`` is padded with zeros to one value per
+    column. Values at most ``RANK_TOL`` times the top one are the numerical
+    kernel and become exact zeros. The first ``n_plus`` columns of u and ṽ
+    are paired; every other column is signed by its own largest entry, and
+    u's columns past ``n_plus`` complete the continuation basis.
     """
-    cols = [partial[:, j] for j in range(partial.shape[1])]
-    for j in range(dim):
-        if len(cols) == dim:
-            break
-        e = np.zeros(dim)
-        e[j] = 1.0
-        r = e
-        for _ in range(2):
-            for c in cols:
-                r = r - np.dot(c, r) * c
-        norm = np.linalg.norm(r)
-        if norm > 1e-8:
-            cols.append(r / norm)
-    if len(cols) != dim:
-        raise ModeError("failed to complete orthonormal basis")
-    return np.column_stack(cols)
+    n_modes = vt.shape[1]
+    s_full = np.zeros(n_modes)
+    s_full[:len(s)] = s
+    s_max = s_full[0] if n_modes else 0.0
+    n_plus = int(np.sum(s_full > RANK_TOL * s_max)) if s_max > 0 else 0
+    s_full[n_plus:] = 0.0
+    u_plus, v_plus = _orient(u[:, :n_plus], vt[:, :n_plus])
+    v_cols = np.column_stack([v_plus, _orient(vt[:, n_plus:], vt[:, n_plus:])[0]])
+
+    # Descending s with deterministic tie-breaking: lexicographically smallest
+    # index of the largest-magnitude entry (of u for positive modes, ṽ otherwise).
+    # The input is already descending, so this only reorders exact ties, and
+    # those never cross the Λ⁺/Λ⁰ boundary.
+    tie = np.concatenate([np.argmax(np.abs(u_plus), axis=0),
+                          np.argmax(np.abs(v_cols[:, n_plus:]), axis=0)])
+    order = np.lexsort((np.arange(n_modes), tie, -s_full))
+    left = np.column_stack([u_plus[:, order[:n_plus]], _orient(u[:, n_plus:], u[:, n_plus:])[0]])
+    return ModeDecomposition(
+        k=op.k, l=op.l,
+        singular_values=s_full[order], left_vectors=left, right_vectors=v_cols[:, order],
+        marginal=op.marginal.copy(), n_plus=n_plus,
+        x_labels=op.x_labels, y_labels=op.y_labels,
+    )
 
 
 def weighted_svd(op: ConditionalOperator) -> ModeDecomposition:
@@ -142,47 +150,8 @@ def weighted_svd(op: ConditionalOperator) -> ModeDecomposition:
         raise ModeError("operator matrix has non-finite entries")
     if np.any(q <= 0):
         raise ModeError("operator marginal must be strictly positive")
-    n_y, n_x = matrix.shape
-    b = matrix * np.sqrt(q)[None, :]
-    u, s, vh = np.linalg.svd(b, full_matrices=True)
-    n_sv = s.shape[0]
-    s_full = np.zeros(n_x)
-    s_full[:n_sv] = s
-    vt = vh.T  # columns are the ṽ_α
-    s_max = s_full[0] if n_sv else 0.0
-    n_plus = int(np.sum(s_full > RANK_TOL * s_max)) if s_max > 0 else 0
-    s_full[n_plus:] = 0.0  # kernel modes carry exact zeros
-
-    u_plus, v_plus = _orient(u[:, :n_plus], vt[:, :n_plus])
-    v_cols = np.column_stack([v_plus, _fix_signs(vt[:, n_plus:])])  # zero modes by their own ṽ
-
-    # Descending s with deterministic tie-breaking: lexicographically smallest
-    # index of the largest-magnitude entry (of u for positive modes, ṽ otherwise).
-    tie = np.concatenate([np.argmax(np.abs(u_plus), axis=0),
-                          np.argmax(np.abs(v_cols[:, n_plus:]), axis=0)])
-    order = np.lexsort((np.arange(n_x), tie, -s_full))
-    # LAPACK already sorts descending; the lexsort only reorders exact ties,
-    # and those never cross the Λ⁺/Λ⁰ boundary.
-    s_full = s_full[order]
-    v_cols = v_cols[:, order]
-    plus_order = [int(j) for j in order if j < n_plus]
-    u_plus = u_plus[:, plus_order] if n_plus else np.zeros((n_y, 0))
-
-    left = _complete_orthonormal(u_plus, n_y)
-    if n_plus < n_y:
-        left = np.column_stack([left[:, :n_plus], _fix_signs(left[:, n_plus:])])
-    return ModeDecomposition(
-        k=op.k,
-        l=op.l,
-        singular_values=s_full,
-        left_vectors=left,
-        right_vectors=v_cols,
-        marginal=q.copy(),
-        rank_tol=RANK_TOL,
-        n_plus=n_plus,
-        x_labels=op.x_labels,
-        y_labels=op.y_labels,
-    )
+    u, s, vh = np.linalg.svd(matrix * np.sqrt(q)[None, :], full_matrices=True)
+    return _decomposition(op, u, s, vh.T)
 
 
 def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDecomposition:
@@ -217,16 +186,7 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDeco
     v0 = np.full(min(n_x, n_y), 1.0) / np.sqrt(min(n_x, n_y))
     u, s, vh = svds(linop, k=r, v0=v0)
     order = np.argsort(-s)
-    s = s[order]
-    u, vt = _orient(u[:, order], vh.T[:, order])
-    return ModeDecomposition(
-        k=op.k, l=op.l,
-        singular_values=s, left_vectors=u, right_vectors=vt,
-        marginal=op.marginal.copy(),
-        rank_tol=RANK_TOL,
-        n_plus=int(np.sum(s > RANK_TOL * s[0])),
-        x_labels=op.x_labels, y_labels=op.y_labels,
-    )
+    return _decomposition(op, u[:, order], s[order], vh.T[:, order])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +382,7 @@ def tucker_decompose(tensor: np.ndarray, partition) -> TuckerDecomposition:
     for j in range(len(groups)):
         unfold = np.moveaxis(grouped, j, 0).reshape(group_dims[j], -1)
         u, s, _ = np.linalg.svd(unfold, full_matrices=True)
-        u = _fix_signs(u)
+        u = _orient(u, u)[0]
         factors.append(u)
         sing.append(s)
         core = np.tensordot(core, u, axes=([0], [0]))

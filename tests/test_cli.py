@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -240,7 +241,21 @@ class TestLlcAndCouple:
         payload = json.loads((out / "llc_estimate.json").read_text())
         assert payload["model_dim"] == 6
         assert len(payload["lambda_hat_per_chain"]) == 2
+        assert payload["norm_cap_violations"] == [0, 0]  # no cap, nothing counted
         assert (out / "trace_chain0.csv").exists()
+
+    def test_llc_reports_norm_cap_violations(self, fixture_language, tmp_path):
+        # a cap far below any step's distance from w*: each of the T − 1 states
+        # after the start at w* violates it
+        out = tmp_path / "llc"
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "language": str(fixture_language), "k": 1, "l": 1,
+            "n": 300, "chains": 2, "T": 20, "weight_norm_cap": 1e-9,
+        }))
+        assert main(["llc", "--config", str(config), "--out", str(out)]) == 0
+        payload = json.loads((out / "llc_estimate.json").read_text())
+        assert payload["norm_cap_violations"] == [19, 19]
 
     def test_couple_identical_when_chi_full(self, fixture_language, tmp_path):
         # full cutoff keeps the distribution; divergence is sampling-noise only
@@ -371,6 +386,27 @@ class TestCommandProtocol:
         assert code == 2
         assert err.startswith("input error: config") and message in err
 
+    @pytest.mark.parametrize("command, key, value, kind", [
+        ("decompose", "k", 1.9, "int"), ("truncate", "chi", True, "int"),
+        ("llc", "n", 2.7, "int"), ("llc", "epsilon", True, "float"),
+        ("bounds", "M", "20", "float"), ("llc", "pinned", "false", "bool"),
+        ("decompose", "dense", "false", "bool"),
+    ])
+    def test_config_value_of_wrong_json_type_exit_2(self, fixture_corpus, fixture_language,
+                                                    tmp_path, capsys, command, key, value,
+                                                    kind):
+        # int() and float() would accept each of these, and bool() any non-empty string
+        fields, _ = COMMANDS[command]
+        paths = {"CORPUS": str(fixture_corpus), "LANGUAGE": str(fixture_language)}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**{name: paths.get(v, v) for name, v in fields.items()},
+                                      key: value}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert (f"input error: config field {key!r} must be {kind}, got {value!r}"
+                in capsys.readouterr().err)
+        assert not (out / "decomposition_dense.json").exists()
+
 
 class TestInputErrors:
     def test_low_rank_without_rank_exit_2(self, fixture_language, tmp_path, capsys):
@@ -466,6 +502,86 @@ class TestInputErrors:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["input", "out"])
+    def test_os_error_exit_2_names_path(self, fixture_language, tmp_path, capsys, monkeypatch,
+                                        where):
+        # what a user who is not root meets on a file or directory without permission
+        out = tmp_path / "dec"
+        denied = fixture_language if where == "input" else out
+        method = "read_text" if where == "input" else "mkdir"
+        original = getattr(Path, method)
+
+        def refuse(self, *args, **kwargs):
+            if self == denied:
+                raise PermissionError(13, "Permission denied", str(self))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, refuse)
+        code = main(["decompose", "--language", str(fixture_language), "--k", "1", "--l", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"input error: [Errno 13] Permission denied: '{denied}'"
+                in capsys.readouterr().err)
+
+
+def _command_fields() -> dict[str, dict]:
+    """Config field -> type for every typed flag of every command of the parser."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: p.get_default("kinds") for name, p in sub.choices.items()}
+
+
+COMMAND_FIELDS = _command_fields()
+WRONG_TYPE = {int: [1.5, True, "1"], float: ["1", True], bool: ["false", 1]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FIELDS))
+def test_every_path_flag_and_typed_field(command, fixture_corpus, fixture_language, tmp_path,
+                                         capsys):
+    """Exit codes for bad paths, wrong-typed config fields and a bad out, from the parser."""
+    assert set(COMMAND_FIELDS) == set(COMMANDS)
+    kinds = COMMAND_FIELDS[command]
+    good = {"CORPUS": str(fixture_corpus), "LANGUAGE": str(fixture_language)}
+    base = {key: good.get(value, value) for key, value in COMMANDS[command][0].items()}
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+
+    def run(fields, *argv):
+        config.write_text(json.dumps(fields))
+        code = main([command, "--config", str(config), "--out", str(out), *argv])
+        return code, capsys.readouterr().err
+
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    inputs = {"missing": None, "directory": None, "empty": b"", "not_utf8": b"\xff\xfe"}
+    for flag in ["config", *(key for key in ("corpus", "counts", "language") if key in kinds)]:
+        for content, data in inputs.items():
+            path = bad / f"{flag}-{content}"
+            if content == "directory":
+                path.mkdir()
+            elif data is not None:
+                path.write_bytes(data)
+            if flag == "config":
+                code = main([command, "--config", str(path), "--out", str(out)])
+                err = capsys.readouterr().err
+            else:
+                code, err = run(base, f"--{flag}", str(path))
+            assert code == (3 if content == "missing" else 2), (flag, content, err)
+            assert str(path) in err, (flag, content, err)
+
+    for key, kind in kinds.items():
+        for value in WRONG_TYPE.get(kind, []):
+            code, err = run({**base, key: value})
+            assert code == 2, (key, value, err)
+            assert f"config field {key!r} must be {kind.__name__}, got {value!r}" in err
+
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for target in (afile, afile / "sub"):
+        code, err = run(base, "--out", str(target))  # the last --out wins
+        assert code == 2 and f"input error: out {target} is not a directory" in err
+
 
 GOOD_COUNTS = "#k 1\n#l 1\n#alphabet 3\n0\t1\t2\n1\t2\t1\n"
 
@@ -569,6 +685,23 @@ class TestExamples:
         assert code == 0
         text = (out / "contextual_examples.txt").read_text()
         assert text.startswith("component 0:")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"window": -5}, "window must be at least 0, got -5"),
+        ({"max_examples": -1}, "max_examples must be at least 0, got -1"),
+    ], ids=["window", "max_examples"])
+    def test_negative_window_or_max_examples_exit_2(self, fixture_corpus, fixture_language,
+                                                    tmp_path, capsys, fields, message):
+        # a negative window slices the after-context from the end of the corpus;
+        # a negative max_examples drops examples from the end of the list
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(fields))
+        code = main(["examples", "--corpus", str(fixture_corpus), "--language",
+                     str(fixture_language), "--k", "1", "--l", "1", "--config", str(config),
+                     "--out", str(tmp_path / "ex")])
+        assert code == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "ex" / "contextual_examples.txt").exists()
 
     def test_leading_component_skips_dense_svd(self, fixture_corpus, tmp_path, monkeypatch):
         counts_out = tmp_path / "counts"

@@ -401,7 +401,6 @@ class TestContextualExamples:
             left_vectors=np.array([[0.1], [0.99]]),
             right_vectors=np.array([[1.0], [0.6]]),
             marginal=np.array([0.5, 0.5]),
-            rank_tol=1e-12,
             n_plus=1,
             x_labels=((0,), (1,)),
             y_labels=((0,), (1,)),
@@ -421,7 +420,6 @@ class TestContextualExamples:
             left_vectors=np.array([[0.1], [0.99]]),
             right_vectors=np.array([[1.0], [0.3]]),
             marginal=np.array([0.5, 0.5]),
-            rank_tol=1e-12,
             n_plus=1,
             x_labels=((0, 4), (1, 1)),
             y_labels=((0,), (1,)),

@@ -111,11 +111,17 @@ class TestWeightedSvd:
         np.testing.assert_array_equal(a.right_vectors, b.right_vectors)
 
     def test_sign_convention(self):
-        lang = random_language(3, Alphabet(4), 2)
-        dec = weighted_svd(conditional_operator(lang, 1, 1))
-        for j in range(dec.n_left):
-            col = dec.left_vectors[:, j]
-            assert col[int(np.argmax(np.abs(col)))] > 0
+        # At (1, 2) the 16×4 operator has 12 completion columns past n_plus;
+        # each is signed by its own largest entry, as paired columns are by u.
+        for k, l in [(1, 1), (1, 2)]:
+            lang = random_language(3, Alphabet(4), k + l)
+            dec = weighted_svd(conditional_operator(lang, k, l))
+            assert dec.n_left == 4**l and dec.n_plus == 4
+            for j in range(dec.n_left):
+                col = dec.left_vectors[:, j]
+                assert col[int(np.argmax(np.abs(col)))] > 0
+            np.testing.assert_allclose(dec.left_vectors.T @ dec.left_vectors,
+                                       np.eye(dec.n_left), atol=1e-12)
 
     def test_absolute_bigram_triple(self):
         # s = sqrt(q(x)), u = y, v-tilde = indicator of x
@@ -368,6 +374,21 @@ class TestTruncatedPath:
                                    atol=1e-12)
         top = np.argmax(np.abs(part.left_vectors), axis=0)
         assert np.all(part.left_vectors[top, np.arange(rank)] > 0)
+
+    def test_kernel_values_exact_zero_on_svds_path(self):
+        # rank 5 of 8: rank 6 < 8 − 1 runs svds, whose sixth value is a
+        # rounding residue; the builder sets it to 0.0 as the dense path does
+        lang = plant_collective_bigram(random_language(3, 8, 2), [(0,), (2,), (4,), (6,)], (1,))
+        op = conditional_operator(lang, 1, 1)
+        part, full = truncated_weighted_svd(op, rank=6), weighted_svd(op)
+        assert part.n_modes == 6 and part.n_plus == full.n_plus == 5
+        assert np.all(part.singular_values[part.n_plus:] == 0.0)
+        np.testing.assert_allclose(part.singular_values, full.singular_values[:6], atol=1e-10)
+        lead = slice(0, part.n_plus)
+        np.testing.assert_allclose(part.left_vectors[:, lead], full.left_vectors[:, lead],
+                                   atol=1e-10)
+        np.testing.assert_allclose(part.right_vectors[:, lead], full.right_vectors[:, lead],
+                                   atol=1e-10)
 
     def test_partial_reconstruction_matches_full_cutoff(self):
         op = conditional_operator(random_language(17, Alphabet(4), 2), 1, 1)

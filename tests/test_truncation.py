@@ -212,7 +212,7 @@ def hand_decomposition(top_left):
     return ModeDecomposition(
         k=1, l=1, singular_values=np.array([1.0, 0.5, 0.25]),
         left_vectors=basis(np.asarray(top_left, dtype=float)), right_vectors=basis(np.ones(3)),
-        marginal=np.full(3, 1 / 3), rank_tol=1e-12, n_plus=3, x_labels=labels, y_labels=labels,
+        marginal=np.full(3, 1 / 3), n_plus=3, x_labels=labels, y_labels=labels,
     )
 
 

@@ -212,10 +212,7 @@ def cmd_decompose(config: dict, out: Path) -> str:
     if rank is not None and rank < 1:
         raise ConfigError(f"rank must be at least 1, got {rank}")
     op = _load_operator(config)
-    if rank is not None and rank < min(op.n_y, op.n_x):
-        dec = truncated_weighted_svd(op, rank=rank)
-    else:
-        dec = weighted_svd(op)
+    dec = weighted_svd(op) if rank is None else truncated_weighted_svd(op, rank=rank)
     requested = dec.n_modes if rank is None else rank
     payload = decomposition_summary(dec, top_components=_field(config, "top", int, 0) or requested)
     padding = requested - len(payload["singular_values"])

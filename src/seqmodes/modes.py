@@ -78,18 +78,26 @@ class ModeDecomposition:
         return self.n_modes == len(self.marginal) and self.n_left == len(self.y_labels)
 
     def x_index(self, x) -> int:
-        if isinstance(x, (int, np.integer)):
-            return int(x)
-        return self.x_labels.index(tuple(x))
+        return _label_index(x, self.x_labels, "context")
 
     def y_index(self, y) -> int:
-        if isinstance(y, (int, np.integer)):
-            return int(y)
-        return self.y_labels.index(tuple(y))
+        return _label_index(y, self.y_labels, "continuation")
 
     def vhat_matrix(self) -> np.ndarray:
         """v̂*_α(x) for all (x, α): right vectors mapped out of D-coordinates."""
         return self.right_vectors / np.sqrt(self.marginal)[:, None]
+
+
+def _label_index(key, labels: tuple[tuple[int, ...], ...], kind: str) -> int:
+    """Row of an int index in [0, len(labels)) or of a label tuple; ModeError otherwise."""
+    if isinstance(key, (int, np.integer)):
+        if not 0 <= key < len(labels):
+            raise ModeError(f"{kind} index {key} out of range [0, {len(labels)})")
+        return int(key)
+    try:
+        return labels.index(tuple(key))
+    except ValueError:
+        raise ModeError(f"unknown {kind} label {tuple(key)}") from None
 
 
 def _orient(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,12 +171,12 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDeco
     s = √q/d, so its cost follows the nonzeros of R and no dense matrix is
     built. Deterministic: the starting vector is fixed. Falls back to the
     dense path when the requested rank does not leave svds room to iterate.
+    Either path holds the first min(rank, n_x) modes, kernel modes included.
     """
     n_y, n_x = op.n_y, op.n_x
-    r = min(rank, n_x, n_y)
+    r = min(rank, n_x)
     if r >= min(n_x, n_y) - 1 or min(n_x, n_y) <= 2:
         dec = weighted_svd(op)
-        r = min(rank, dec.n_plus) if dec.n_plus else min(rank, dec.n_modes)
         return replace(dec, singular_values=dec.singular_values[:r], n_plus=min(r, dec.n_plus),
                        left_vectors=dec.left_vectors[:, :r], right_vectors=dec.right_vectors[:, :r])
     raw, raw_t, lam = op.raw, op.raw.T, op.smoothing

@@ -5,12 +5,12 @@ function space. Three routes from the subspace back to an actual conditional
 distribution are provided: the raw orthogonal projection (generally signed and
 unnormalized), the clip-and-normalize surrogate, and the KL-closest member of
 the subspace that is also a genuine conditional distribution. The latter is
-one convex solve in reduced coordinates: a least-squares check of the column
-sums, a phase-I barrier solve for a strictly positive start, and damped
-Newton on the cross-entropy (Boyd & Vandenberghe, *Convex Optimization*,
-ch. 10–11). Whether the feasible set is empty is decided by a certificate,
-because for most operators it is empty unless the cutoff retains the
-direction of the square-root marginal.
+one convex solve in reduced coordinates: a closed-form check of the column
+sums from the retained right vectors alone, a phase-I barrier solve for a
+strictly positive start, and damped Newton on the cross-entropy (Boyd &
+Vandenberghe, *Convex Optimization*, ch. 10–11). Whether the feasible set is
+empty is decided by a certificate, because for most operators it is empty
+unless the cutoff retains the direction of the square-root marginal.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import Language, conditional_operator, fundamental_tensor
-from .modes import (
-    ModeDecomposition,
-    coefficients_to_function,
-    hs_norm,
-    mode_coefficients,
-    reconstruct_matrix,
-    weighted_svd,
-)
+from .modes import ModeDecomposition, hs_norm, reconstruct_matrix, weighted_svd
 
 
 class TruncationError(ValueError):
@@ -38,7 +31,8 @@ class InfeasibleTruncationError(TruncationError):
     """No strictly positive conditional lies in the retained span at this cutoff.
 
     ``diagnostics["certificate"]`` says why: ``"column_sums"`` (no member has
-    unit column sums; see ``column_sum_residual``), ``"phase_one"`` (every
+    unit column sums; see ``column_sum_residual``, and ``column_sums_from_chi``
+    for the smallest cutoff whose span has them), ``"phase_one"`` (every
     such member has an entry below ``margin_upper_bound`` < 0), or ``None``
     (the largest minimum entry is zero within tolerance: the set is not
     certified empty, but it has no strictly positive point).
@@ -76,9 +70,10 @@ class EffectiveDistribution:
         return self.conditional * self.marginal[None, :]
 
 
-def _retained(dec: ModeDecomposition, chi: int) -> tuple[int, int]:
-    """Numbers (a, b) of retained right and left indices: α < a, β < b."""
-    return chi + 1, min(chi, dec.n_plus - 1) + 1
+def _span(dec: ModeDecomposition, chi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U_b, V̂_a): the retained span is {U_b G V̂_aᵀ}, and f projects to G = U_bᵀ(f·q)V̂_a."""
+    vhat = dec.right_vectors[:, :chi + 1] / np.sqrt(dec.marginal)[:, None]
+    return dec.left_vectors[:, :min(chi, dec.n_plus - 1) + 1], vhat
 
 
 def _check_chi(dec: ModeDecomposition, chi: int) -> None:
@@ -98,10 +93,8 @@ def project_leq_chi(dec: ModeDecomposition, f: np.ndarray, chi: int) -> np.ndarr
     Retained indices: α ≤ chi over all modes, β ≤ chi over positive modes.
     """
     _check_chi(dec, chi)
-    a, b = _retained(dec, chi)
-    kept = np.zeros((dec.n_modes, dec.n_left))
-    kept[:a, :b] = mode_coefficients(dec, f)[:a, :b]
-    return coefficients_to_function(dec, kept)
+    left, vhat = _span(dec, chi)
+    return left @ (left.T @ (f * dec.marginal[None, :]) @ vhat) @ vhat.T
 
 
 def subspace_distance(dec: ModeDecomposition, f: np.ndarray, chi: int) -> float:
@@ -157,7 +150,6 @@ def truncate_normalized(dec: ModeDecomposition, chi: int) -> EffectiveDistributi
 # Fixed numerical constants of the KL solve.
 _SUM_TOL = 1e-10  # largest column-sum residual a feasible span may leave
 _ZERO_TOL = 1e-12  # truth entries at or below this are zeros (SVD rounding)
-_RANK_TOL = 1e-12  # relative singular-value cut of the column-sum map
 _NEWTON_TOL = 1e-14  # half the squared Newton decrement that ends a centring
 _GAP_TOL = 1e-12  # barrier gap bound m/t that ends a continuation
 _GROWTH = 10.0  # factor on t between centrings
@@ -229,35 +221,41 @@ def _phase_one(A: np.ndarray, F: np.ndarray, chi: int) -> tuple[np.ndarray, int]
         t *= _GROWTH
 
 
-def _newton_kl(dec: ModeDecomposition, chi: int, truth: np.ndarray):
-    """The KL solve below full retention: (conditional, Newton steps, KKT residual, converged).
+def _column_sums_from_chi(dec: ModeDecomposition) -> int:
+    """Smallest chi with V̂_a c_a = 1 (c = V̂ᵀq), by one cumulative sum; n_modes − 1 has it."""
+    vhat = dec.vhat_matrix()
+    partial = np.cumsum(vhat * (dec.marginal @ vhat), axis=1)
+    reached = np.max(np.abs(partial - 1.0), axis=0)[:-1] <= _SUM_TOL
+    return int(np.argmax(np.append(reached, True)))
 
-    The retained span is F = U_b G V_aᵀ D^{-1/2}. One SVD of the column-sum map
-    on G gives a particular solution g₀ and a null-space basis N, so every
-    member with unit column sums is F₀ + A z with F₀ = E g₀ and A = E N.
+
+def _newton_kl(dec: ModeDecomposition, chi: int):
+    """Below full retention: (truth, conditional, Newton steps, KKT residual, converged).
+
+    F = U_b G V̂_aᵀ has column sums V̂_a Gᵀs, s = U_bᵀ1. The v̂ are q-orthonormal,
+    so these are all 1 only if Gᵀs = c = V̂_aᵀq and V̂_a c = 1, which is checked
+    before any n_y·n_x array exists. The solutions are G₀ + N H with
+    G₀ = s cᵀ/‖s‖² and N an orthonormal basis of s's complement.
     """
-    a, b = _retained(dec, chi)
-    vhat = dec.vhat_matrix()[:, :a]
-    left = dec.left_vectors[:, :b]
-    E = np.kron(left, vhat)  # vec F = E g with g = vec G, G[β, α]
-    sums = np.kron(left.sum(axis=0)[None, :], vhat)  # column sums of F as a map of g
-    P, sig, Qt = np.linalg.svd(sums)
-    rank = int(np.sum(sig > _RANK_TOL * sig[0])) if sig.size and sig[0] > 0 else 0
-    g0 = Qt[:rank].T @ ((P[:, :rank].T @ np.ones(dec.n_modes)) / sig[:rank])
-    residual = float(np.max(np.abs(sums @ g0 - 1.0)))
+    left, vhat = _span(dec, chi)
+    s, c = left.sum(axis=0), dec.marginal @ vhat
+    residual = float(np.max(np.abs(vhat @ c - 1.0))) if s.any() else 1.0
     if residual > _SUM_TOL:
         raise InfeasibleTruncationError(
             f"the feasible set for chi={chi} is certified empty: no member of the "
             f"retained span has unit column sums (residual {residual:.3e})",
             diagnostics={"certificate": "column_sums", "chi": chi,
-                         "column_sum_residual": residual},
+                         "column_sum_residual": residual,
+                         "column_sums_from_chi": _column_sums_from_chi(dec)},
         )
-    N = Qt[rank:].T
-    A = E @ N
+    N = np.linalg.qr(s[:, None], mode="complete")[0][:, 1:]
+    A = np.kron(left @ N, vhat)  # vec(U_b N H V̂_aᵀ) = A vec H, H[β′, α]
 
     # Start from the member of the affine set nearest the truth.
-    g_truth = mode_coefficients(dec, truth)[:a, :b].T.ravel()
-    F = E @ (g0 + N @ (N.T @ (g_truth - g0)))
+    truth = reconstruct_matrix(dec)
+    joint = truth * dec.marginal[None, :]
+    G = np.outer(s, c) / (s @ s) + N @ (N.T @ (left.T @ joint @ vhat))
+    F = (left @ G @ vhat.T).ravel()
     iterations = 0
     if F.min() <= 0:
         F, iterations = _phase_one(A, F, chi)
@@ -265,7 +263,7 @@ def _newton_kl(dec: ModeDecomposition, chi: int, truth: np.ndarray):
     # Phase II, re-based at the current F before each centring so that
     # entries near zero keep their relative accuracy.
     support = (truth > _ZERO_TOL).ravel()
-    weight = np.where(support, (truth * dec.marginal[None, :]).ravel(), 0.0)
+    weight = np.where(support, joint.ravel(), 0.0)
     zeros = int(np.sum(~support))
     t, decrement, gap = float(max(zeros, 1)), 0.0, 0.0
     while A.shape[1]:  # with no free direction F is the only feasible point
@@ -277,7 +275,7 @@ def _newton_kl(dec: ModeDecomposition, chi: int, truth: np.ndarray):
             break
         t *= _GROWTH
     converged = decrement**2 / 2 <= _NEWTON_TOL
-    return F.reshape(truth.shape), iterations, max(decrement, gap), converged
+    return truth, F.reshape(truth.shape), iterations, max(decrement, gap), converged
 
 
 def truncate_kl(dec: ModeDecomposition, chi: int) -> EffectiveDistribution:
@@ -292,14 +290,13 @@ def truncate_kl(dec: ModeDecomposition, chi: int) -> EffectiveDistribution:
     """
     chi = int(chi)
     _check_chi(dec, chi)
-    truth = reconstruct_matrix(dec)
     if chi >= dec.n_modes - 1:
         # Every mode retained: the truth itself is the unique minimizer.
-        clipped = np.clip(truth, 0.0, None)
+        clipped = np.clip(reconstruct_matrix(dec), 0.0, None)
         cond, iterations, kkt, converged = clipped / clipped.sum(axis=0), 0, 0.0, True
         kl, distance = 0.0, 0.0
     else:
-        cond, iterations, kkt, converged = _newton_kl(dec, chi, truth)
+        truth, cond, iterations, kkt, converged = _newton_kl(dec, chi)
         kl, distance = kl_conditional(truth, cond, dec.marginal), subspace_distance(dec, cond, chi)
     return EffectiveDistribution(
         k=dec.k, l=dec.l, conditional=cond, marginal=dec.marginal.copy(),

@@ -14,11 +14,13 @@ from seqmodes.cli import main
 from seqmodes.corpus import write_token_stream
 from seqmodes.distribution import (
     ConditionalOperator,
+    conditional_operator,
     language_to_json,
+    plant_collective_bigram,
     random_doubly_stochastic_language,
     random_language,
 )
-from seqmodes.modes import ModeError
+from seqmodes.modes import ModeError, weighted_svd
 from seqmodes.sgld import SGLDConfig, bound_g
 
 
@@ -91,6 +93,33 @@ class TestDecompose:
         assert payload.get("rank_padded")
         assert len(payload["singular_values"]) == 7
         assert payload["singular_values"][-1] == 0.0
+
+    @pytest.mark.parametrize("which, rank", [
+        *(("random_21", rank) for rank in (1, 2, 3, 4, 9, 10)),
+        *(("collective", rank) for rank in (4, 6, 7, 8, 9)),
+    ])
+    def test_rank_means_leading_modes_on_both_paths(self, tmp_path, which, rank):
+        # the 3×9 (2,1) operator runs svds at rank 1 only; the rank-5 8×8
+        # collective bigram runs svds up to rank 6 and the dense fallback past it
+        lang, k = {
+            "random_21": (random_language(0, 3, 3), 2),
+            "collective": (plant_collective_bigram(random_language(3, 8, 2),
+                                                   [(0,), (2,), (4,), (6,)], (1,)), 1),
+        }[which]
+        path, out = tmp_path / "language.json", tmp_path / "dec"
+        path.write_text(language_to_json(lang))
+        assert main(["decompose", "--language", str(path), "--k", str(k), "--l", "1",
+                     "--rank", str(rank), "--out", str(out)]) == 0
+        payload = json.loads((out / "decomposition.json").read_text())
+        full = weighted_svd(conditional_operator(lang, k, 1))
+        kept = min(rank, full.n_modes)
+        assert len(payload["singular_values"]) == rank
+        assert len(payload["components"]) == kept
+        assert payload.get("rank_padded", False) == (rank > full.n_modes)
+        np.testing.assert_allclose(payload["singular_values"],
+                                   np.append(full.singular_values[:kept], np.zeros(rank - kept)),
+                                   atol=1e-10)
+        assert len((out / "top_loadings.txt").read_text().splitlines()) == kept
 
     def test_missing_counts_exit_3(self, tmp_path):
         code = main(["decompose", "--counts", str(tmp_path / "none.tsv"),

@@ -201,6 +201,21 @@ class TestPropensity:
         assert np.min(np.abs(dec.singular_values**2 - q_xy)) < 1e-10
 
 
+class TestEvaluatorIndices:
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (3, 0), (0, 3), ((5,), 0), (0, (0, 1))])
+    def test_bad_index_or_label_raises_mode_error(self, x, y):
+        # a negative int used to wrap round to the last context or continuation
+        dec = weighted_svd(conditional_operator(random_language(11, Alphabet(3), 2), 1, 1))
+        for evaluate in (lambda: propensity(dec, 0, x, y), lambda: mode_basis_eval(dec, 0, 0, x, y),
+                         lambda: reconstruct_conditional(dec, x, y)):
+            with pytest.raises(ModeError):
+                evaluate()
+
+    def test_label_and_index_agree(self):
+        dec = weighted_svd(conditional_operator(random_language(11, Alphabet(3), 2), 1, 1))
+        assert propensity(dec, 0, (2,), (1,)) == propensity(dec, 0, 2, np.int64(1))
+
+
 class TestReconstructConditional:
     def test_deterministic_successor(self):
         joint = np.array([[0.0, 0.5], [0.5, 0.0]])

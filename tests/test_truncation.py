@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import null_space
 from scipy.optimize import linprog, minimize
 
-from _fixtures import k3_language_with_balanced_front
+from _fixtures import k3_language_with_balanced_front, sample_bigram_corpus
+from seqmodes.corpus import build_conditional_matrix, stream_ngram_counts
 from seqmodes.distribution import (
     Alphabet,
     Language,
@@ -24,6 +25,7 @@ from seqmodes.modes import (
 from seqmodes.truncation import (
     InfeasibleTruncationError,
     TruncationError,
+    _column_sums_from_chi,
     kl_conditional,
     multi_length_truncation,
     project_leq_chi,
@@ -273,6 +275,31 @@ class TestCertifiedSolve:
         diagnostics = err.value.diagnostics
         assert diagnostics["certificate"] is None
         assert diagnostics["margin"] <= 0 <= diagnostics["margin_upper_bound"] < 1e-9
+
+
+def corpus_operator():
+    stream = sample_bigram_corpus(random_language(1, Alphabet(5), 2), n_docs=40, doc_len=50,
+                                  seed=2)
+    return build_conditional_matrix(stream_ngram_counts(stream, 1, 1), lambda_smooth=1e-5)
+
+
+@pytest.mark.parametrize("make_operator", [
+    *(pytest.param(lambda s=s: conditional_operator(random_doubly_stochastic_language(s, 6), 1, 1),
+                   id=f"doubly_stochastic_{s}") for s in range(4)),
+    *(pytest.param(lambda s=s: conditional_operator(random_language(s, 5, 2), 1, 1),
+                   id=f"random_{s}") for s in range(4)),
+    pytest.param(corpus_operator, id="corpus"),
+])
+def test_first_accepted_chi_is_column_sums_from_chi(make_operator):
+    # every refusal below the first accepted cutoff names that cutoff
+    dec = weighted_svd(make_operator())
+    first = _column_sums_from_chi(dec)
+    for chi in range(first):
+        with pytest.raises(InfeasibleTruncationError) as err:
+            truncate_kl(dec, chi)
+        assert err.value.diagnostics["certificate"] == "column_sums"
+        assert err.value.diagnostics["column_sums_from_chi"] == first
+    assert truncate_kl(dec, first).provenance["feasible"]
 
 
 def span_basis(dec, chi):

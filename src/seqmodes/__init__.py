@@ -54,7 +54,6 @@ from .sgld import (
     QuadraticTarget,
     SGLDConfig,
     SoftmaxTarget,
-    bound_f,
     bound_g,
     bound_mu,
     llc_estimate,

@@ -365,7 +365,7 @@ def cmd_couple(config: dict, out: Path) -> str:
         "truncation_kl": eff.provenance.get("kl_divergence"),
         "hyperparameters": {
             "n": cfg.n, "beta": cfg.beta, "n_beta": cfg.n_beta, "gamma": cfg.gamma,
-            "m": cfg.m, "T": cfg.T, "eps_min": cfg.epsilon, "eps_max": cfg.epsilon,
+            "m": cfg.m, "T": cfg.T, "epsilon": cfg.epsilon,
             "seed": base_seed,
         },
     })

@@ -4,19 +4,22 @@ The update is w += (ε/2)[−βn ∇L_m(w) + γ(w* − w)] + η with η drawn pe
 coordinate from N(0, ε), for one constant step size ε per chain
 (:class:`SGLDConfig`; the CLI's ``--preset paper`` is its nβ = 10, γ = 300,
 T = 100, ε = 1e-4 case). A chain runs on a target: anything with a dataset
-size ``n``, a dimension ``dim``, and batched full-data losses and minibatch
-gradients over a (B, dim) stack of states (:class:`SoftmaxTarget`,
-:class:`QuadraticTarget`).
+size ``n``, a dimension ``dim``, batched full-data losses and gradients over a
+(B, dim) stack of states, and a sampler of minibatch joints
+(:class:`SoftmaxTarget`, :class:`QuadraticTarget`). A minibatch of m uniform
+draws with replacement enters the gradient only through its (n_y, n_x) count
+table, which is Multinomial(m, N/n) for the dataset's count table N, so the
+sampler draws that table directly.
 
 One engine, :func:`run_chains`, advances every chain: the rows of a (C, d)
 state array move in lockstep, one step at a time. Row c draws its noise and
-its minibatch indices from counter-based streams keyed by (seed_c, tag, step),
-so each row is reproducible on its own and two rows configured with the same
-seed share their randomness by construction. Coupled chains are exactly that:
-two rows that share a seed, each following the loss of its own dataset.
-Full-data losses, and the reference loss L_n(w*), are evaluated after the
-loop, so the LLC estimate λ̂ = nβ·(mean L_n(w_t) − L_n(w*)) reads the trace
-alone.
+its minibatch tables from counter-based streams keyed by (seed_c, tag, block),
+one block per ``STEP_BLOCK`` steps, so each row is reproducible on its own and
+two rows configured with the same seed share their randomness by construction.
+Coupled chains are exactly that: two rows that share a seed, each following
+the loss of its own dataset. Full-data losses, and the reference loss L_n(w*),
+are evaluated after the loop, so the LLC estimate λ̂ = nβ·(mean L_n(w_t) −
+L_n(w*)) reads the trace alone.
 
 Also here: the trajectory-divergence bound g(t, A), one function over an
 array of steps, with its hyperparameter window; the estimator-difference
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._streams import BATCH_TAG, NOISE_TAG, REGION_TAG, VOLUME_TAG, StepStream, keyed_generator
+from ._streams import BATCH_TAG, NOISE_TAG, REGION_TAG, STEP_BLOCK, VOLUME_TAG, keyed_generator
 from .model import (
     Dataset,
     SoftmaxModel,
@@ -106,8 +109,9 @@ class SGLDConfig:
 
 
 # ---------------------------------------------------------------------------
-# Sampling targets: anything with a dataset size, a dimension, and batched
-# full-data losses and minibatch gradients over a (B, dim) stack of states.
+# Sampling targets: anything with a dataset size, a dimension, batched
+# full-data losses and gradients over a (B, dim) stack of states, and a
+# sampler of minibatch joints with ``cells`` entries each.
 # ---------------------------------------------------------------------------
 
 class SoftmaxTarget:
@@ -117,22 +121,41 @@ class SoftmaxTarget:
         if len(dataset) == 0:
             raise SGLDError("empty dataset")
         self.model = model
-        self.dataset = dataset
         self.n = len(dataset)
         self.dim = model.dim
+        self.cells = dataset.counts.size
         self._joint = dataset.empirical_joint()
+        # the dataset's flat cells in cell order: a function of the count table alone
+        self._sorted_cells = np.repeat(np.arange(self.cells),
+                                       dataset.counts.ravel().astype(np.int64))
 
     def loss(self, W: np.ndarray) -> np.ndarray:
         """L_n(w_b) for each row of W."""
         return population_losses(self.model, self._joint, W)
 
-    def grad(self, W: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-        """∇L_m(w_b) for each row of W on the minibatch idx[b] (all data if None)."""
-        if idx is None:
-            coeff = self._joint
-        else:
-            coeff = self.dataset.subset_counts(idx) / idx.shape[1]
-        return -self.model.weighted_grads(W, coeff)
+    def grad(self, W: np.ndarray, coeff: np.ndarray | None) -> np.ndarray:
+        """∇L_m(w_b) for each row of W on the minibatch joint coeff[b] (all data if None)."""
+        return -self.model.weighted_grads(W, self._joint if coeff is None else coeff)
+
+    def minibatches(self, rngs, m: int, size: int) -> np.ndarray:
+        """(size, len(rngs), n_y, n_x) minibatch joints, ``size`` from each generator.
+
+        A joint is the count table of m uniform draws, over m. Both samplers
+        are exact and read only the count table, so a permuted dataset draws
+        the same joints. Multinomial(m, N/n) costs about one binomial per cell
+        and the index draw one integer per minibatch point; the former wins
+        while the table has at most about m/10 cells (the crossover measured
+        at m = 256, 1024 and 4096).
+        """
+        if 10 * self.cells <= m:
+            counts = np.stack([rng.multinomial(m, self._joint.ravel(), size=size)
+                               for rng in rngs], axis=1)
+        else:  # each joint counted in a block of its own
+            idx = np.stack([rng.integers(0, self.n, (size, m)) for rng in rngs], axis=1)
+            blocks = np.arange(size * len(rngs)).reshape(size, len(rngs), 1)
+            counts = np.bincount((self._sorted_cells[idx] + self.cells * blocks).ravel(),
+                                 minlength=blocks.size * self.cells)
+        return counts.reshape((size, len(rngs)) + self._joint.shape) / m
 
 
 class QuadraticTarget:
@@ -142,12 +165,17 @@ class QuadraticTarget:
         self.curvature = np.asarray(curvature, dtype=float)
         self.n = int(n)
         self.dim = self.curvature.shape[0]
+        self.cells = 0
 
     def loss(self, W: np.ndarray) -> np.ndarray:
         return 0.5 * np.sum(self.curvature * np.asarray(W) ** 2, axis=-1)
 
-    def grad(self, W: np.ndarray, idx) -> np.ndarray:
+    def grad(self, W: np.ndarray, coeff) -> np.ndarray:
         return self.curvature * W
+
+    def minibatches(self, rngs, m: int, size: int) -> None:
+        """Exact gradients: nothing to draw."""
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +204,9 @@ class ChainTrace:
     """States w_1..w_T with recorded full-data losses and L_n(w*).
 
     The first state is the initial point; step t (1-based) produced state t
-    from noise and minibatch streams keyed by (config.seed, t), so the whole
-    trace is reproducible from (config, dataset, initial point).
+    from row (t − 1) % STEP_BLOCK of the noise and minibatch draws keyed by
+    (config.seed, tag, (t − 1) // STEP_BLOCK), so the whole trace is
+    reproducible from (config, dataset, initial point).
     """
 
     states: np.ndarray
@@ -194,15 +223,9 @@ class ChainTrace:
     def distances_to_center(self) -> np.ndarray:
         return np.linalg.norm(self.states - self.w_star[None, :], axis=1)
 
-    def minibatch_indices(self, t: int) -> np.ndarray | None:
-        """Regenerate the minibatch index draw used by step t (1-based)."""
-        if self.config.m >= self.config.n:
-            return None
-        rng = keyed_generator(self.config.seed, BATCH_TAG, t)
-        return rng.integers(0, self.config.n, size=self.config.m)
-
 
 LOSS_BLOCK = 1024  # states per batched loss evaluation after the loop
+DRAW_ENTRIES = 1 << 16  # numbers a chunk holds: d a row, m + cells a minibatch stream
 
 
 def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = None
@@ -211,10 +234,13 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
 
     All rows share the localization center w*, the start point ``init``
     (default w*) and T, n and m. Row c takes its step-t noise and minibatch
-    indices from the (seed_c, tag, t) streams; rows with equal seeds draw them
-    once and share them. Each step evaluates one batched gradient per distinct
-    target; full-data losses are evaluated after the loop in blocks of at most
-    ``LOSS_BLOCK`` states, and L_n(w*) once per distinct target.
+    joint from row (t − 1) % STEP_BLOCK of the draws keyed by
+    (seed_c, tag, (t − 1) // STEP_BLOCK); rows with equal seeds draw the noise
+    once, rows with equal seeds and targets the minibatches. A block is drawn
+    in sequential chunks of about ``DRAW_ENTRIES`` numbers, which give the
+    same bits as one draw. Each step evaluates one batched gradient per
+    distinct target; full-data losses are evaluated after the loop in blocks
+    of at most ``LOSS_BLOCK`` states, and L_n(w*) once per distinct target.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -235,38 +261,52 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     n_beta = np.array([[config.n_beta] for config in configs])
     gamma = np.array([[config.gamma] for config in configs])
     seeds, seed_of_row = np.unique([config.seed for config in configs], return_inverse=True)
-    noise = [StepStream(seed, NOISE_TAG) for seed in seeds]
-    batch = [StepStream(seed, BATCH_TAG) for seed in seeds]
-    draws = np.empty((seeds.size, d))
-    idx = None if m >= n else np.empty((seeds.size, m), dtype=np.int64)
     by_target: dict[int, tuple[object, list[int]]] = {}
     for c, target in enumerate(targets):
         by_target.setdefault(id(target), (target, []))[1].append(c)
-    # (target, its rows, row count); a target that owns every row takes a view
-    groups = [(target, slice(None) if len(members) == rows else np.array(members), len(members))
-              for target, members in by_target.values()]
+    # per distinct target: (target, its rows, row count, the seeds it draws
+    # minibatches for, each row's among them); contiguous rows take a view
+    groups = []
+    for target, members in by_target.values():
+        batch_seeds, pick = np.unique(seeds[seed_of_row[members]], return_inverse=True)
+        if np.array_equal(pick, np.arange(len(members))):  # one seed a row, in row order
+            pick = slice(None)
+        contiguous = members[-1] + 1 - members[0] == len(members)
+        own = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
+        groups.append((target, own, len(members), batch_seeds if m < n else [], pick))
+    width = rows * d + sum(len(bs) * (m + target.cells)
+                           for target, _, _, bs, _ in groups if len(bs))
+    chunk_steps = max(1, min(STEP_BLOCK, DRAW_ENTRIES // width))
 
     w = states[:, 0].copy()
     grad = np.empty((rows, d))
-    for t in range(1, T):
-        for u in range(seeds.size):
-            noise[u].at(t).standard_normal(out=draws[u])
-            if idx is not None:
-                idx[u] = batch[u].at(t).integers(0, n, size=m)
-        row_idx = None if idx is None else idx[seed_of_row]
-        for target, members, _ in groups:
-            grad[members] = target.grad(w[members], None if row_idx is None else row_idx[members])
-        eta = draws[seed_of_row] * sqrt_eps
-        w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta)
-        if not np.isfinite(w).all():
-            c = int(np.flatnonzero(~np.isfinite(w).all(axis=1))[0])
-            raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
-                                     {"step": t, "row": c}, states[c, t - 1].copy())
-        states[:, t] = w
+    draws, eta = np.empty((seeds.size, chunk_steps, d)), np.empty((rows, chunk_steps, d))
+    for start in range(1, T, STEP_BLOCK):
+        block = (start - 1) // STEP_BLOCK
+        noise = [keyed_generator(seed, NOISE_TAG, block) for seed in seeds]
+        batch = [[keyed_generator(seed, BATCH_TAG, block) for seed in bs]
+                 for _, _, _, bs, _ in groups]
+        for t0 in range(start, min(start + STEP_BLOCK, T), chunk_steps):
+            k = min(chunk_steps, start + STEP_BLOCK - t0, T - t0)
+            for rng, out in zip(noise, draws):
+                rng.standard_normal(out=out[:k])
+            np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None], out=eta[:, :k])
+            coeffs = [group[0].minibatches(rngs, m, k) if rngs else None
+                      for group, rngs in zip(groups, batch)]
+            for j in range(k):
+                for (target, own, _, _, pick), coeff in zip(groups, coeffs):
+                    grad[own] = target.grad(w[own], None if coeff is None else coeff[j, pick])
+                w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta[:, j])
+                t = t0 + j
+                if not np.isfinite(w).all():
+                    c = int(np.flatnonzero(~np.isfinite(w).all(axis=1))[0])
+                    raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
+                                             {"step": t, "row": c}, states[c, t - 1].copy())
+                states[:, t] = w
 
     losses = np.empty((rows, T))
     reference = np.empty(rows)
-    for target, members, count in groups:
+    for target, members, count, _, _ in groups:
         block = max(1, LOSS_BLOCK // count)
         for t0 in range(0, T, block):
             chunk = states[members, t0:t0 + block]
@@ -373,10 +413,6 @@ def bound_g(t, A: float, xi: float, config: SGLDConfig, M: float):
         raise SGLDError("t is 1-based")
     g = bound_g_limit(config, A, xi, M) * (1.0 - bound_mu(config, M) ** (steps - 1))
     return g if np.ndim(t) else float(g[0])
-
-
-def bound_f(t: int, delta: float) -> float:
-    return float(t * delta)
 
 
 def estimator_difference_bound(A: float, B: float, xi: float, kappa: float,

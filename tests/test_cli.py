@@ -313,6 +313,8 @@ class TestLlcAndCouple:
         report = json.loads((out / "coupled_report.json").read_text())
         assert report["delta_bound_pass"] == 2
         assert report["llc_bound_pass"] == 2
+        hyper = report["hyperparameters"]
+        assert hyper["epsilon"] == 1e-3 and "eps_min" not in hyper and "eps_max" not in hyper
 
     def test_couple_zero_seeds_exit_2(self, fixture_language, tmp_path, capsys):
         code = main(["couple", "--language", str(fixture_language), "--k", "1", "--l", "1",

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqmodes._streams import BATCH_TAG, NOISE_TAG, StepStream, keyed_generator
+from seqmodes._streams import BATCH_TAG, NOISE_TAG, STEP_BLOCK, keyed_generator
 from seqmodes.distribution import (
     Alphabet,
     conditional_operator,
@@ -12,7 +12,7 @@ from seqmodes.distribution import (
 )
 from seqmodes import sgld
 from seqmodes.cli import _sgld_config_from
-from seqmodes.model import SoftmaxModel, empirical_loss, fit_model, sample_dataset
+from seqmodes.model import Dataset, SoftmaxModel, empirical_loss, fit_model, sample_dataset
 from seqmodes.modes import weighted_svd
 from seqmodes.sgld import (
     ChainDivergedError,
@@ -21,7 +21,6 @@ from seqmodes.sgld import (
     SGLDError,
     SoftmaxTarget,
     WindowViolationError,
-    bound_f,
     bound_g,
     bound_mu,
     coupled_bound_trial,
@@ -58,23 +57,6 @@ class TestConfig:
         assert ok
         ok, text = cfg.window_check(M=40.0)  # 400 > 300
         assert not ok and "400" in text
-
-
-class TestStepStream:
-    def test_reused_stream_matches_fresh_draws(self):
-        # high just above 2**31 rejects about half of all 32-bit words, so an
-        # odd number of words (a leftover half-word) is near-certain per draw
-        high = 2**31 + 1
-        stream = StepStream(7, BATCH_TAG)
-        for step in range(1, 40):
-            fresh = keyed_generator(7, BATCH_TAG, step).integers(0, high, size=5)
-            np.testing.assert_array_equal(stream.at(step).integers(0, high, size=5), fresh)
-
-    def test_out_of_order_steps(self):
-        stream = StepStream(3, NOISE_TAG)
-        for step in (5, 2, 5, 0, 9):
-            fresh = keyed_generator(3, NOISE_TAG, step).standard_normal(4)
-            np.testing.assert_array_equal(stream.at(step).standard_normal(4), fresh)
 
 
 class TestSgldStep:
@@ -158,60 +140,42 @@ class TestRunChain:
                 run_chain(Explosive(), np.zeros(1), cfg)
 
     def test_relabeling_with_matched_schedule(self):
-        # permuting the dataset and composing the minibatch indices with the
-        # same permutation yields the identical chain
+        # the chain reads its dataset only through the count table, so a
+        # permuted dataset gives the identical chain under either sampler
         lang = random_language(3, Alphabet(2), 2)
         joint = conditional_operator(lang, 1, 1).joint()
         model = SoftmaxModel(k=1, l=1, alphabet_size=2)
         ds = sample_dataset(joint, 200, seed=4)
         fit = fit_model(model, ds)
-        cfg = SGLDConfig(n=200, beta=0.05, gamma=2.0, m=32, T=60, epsilon=1e-3, seed=9)
-        trace = run_chain(SoftmaxTarget(model, ds), fit.w, cfg)
-
         perm = np.random.default_rng(0).permutation(200)
-        from seqmodes.model import Dataset
-
         permuted = Dataset(x_idx=ds.x_idx[perm], y_idx=ds.y_idx[perm], n_x=2, n_y=2)
-        inverse = np.argsort(perm)
-
-        class Relabeled:
-            n = 200
-            dim = model.dim
-
-            def loss(self, W):
-                from seqmodes.model import empirical_loss
-
-                return np.array([empirical_loss(model, permuted, w) for w in W])
-
-            def grad(self, W, idx):
-                subs = np.stack([permuted.subset_counts(inverse[i]) for i in idx])
-                return -model.weighted_grads(W, subs / idx.shape[1])
-
-        trace2 = run_chain(Relabeled(), fit.w, cfg)
-        np.testing.assert_allclose(trace.states, trace2.states, atol=1e-14)
-
-    def test_minibatch_indices_reproducible(self):
-        target = self.quadratic()
-        cfg = SGLDConfig(n=100, beta=0.1, gamma=10.0, m=10, T=20, epsilon=1e-3, seed=11)
-        trace = run_chain(target, np.zeros(1), cfg)
-        a = trace.minibatch_indices(3)
-        b = trace.minibatch_indices(3)
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (10,)
+        for m in (40, 8):  # 4 cells: the multinomial sampler, then the index one
+            cfg = SGLDConfig(n=200, beta=0.05, gamma=2.0, m=m, T=300, epsilon=1e-3, seed=9)
+            trace = run_chain(SoftmaxTarget(model, ds), fit.w, cfg)
+            trace2 = run_chain(SoftmaxTarget(model, permuted), fit.w, cfg)
+            np.testing.assert_array_equal(trace.states, trace2.states)
+            np.testing.assert_array_equal(trace.losses, trace2.losses)
 
 
 def naive_chain(model, dataset, w_star, cfg):
-    """One chain, step by step, from fresh (seed, tag, t) generators and the single-w API."""
+    """One chain, step by step, with the single-w API.
+
+    Step t regenerates its noise and minibatch joint from fresh generators
+    keyed by its block, (seed, tag, (t − 1) // STEP_BLOCK), drawing the whole
+    block through the target's sampler and reading row (t − 1) % STEP_BLOCK.
+    """
+    target = SoftmaxTarget(model, dataset)
     w = w_star.copy()
     states = [w]
     for t in range(1, cfg.T):
-        if cfg.m >= cfg.n:
-            coeff = dataset.empirical_joint()
-        else:
-            idx = keyed_generator(cfg.seed, BATCH_TAG, t).integers(0, cfg.n, size=cfg.m)
-            coeff = dataset.subset_counts(idx) / cfg.m
+        block, row = divmod(t - 1, STEP_BLOCK)
+        if row == 0:
+            noise = keyed_generator(cfg.seed, NOISE_TAG, block).standard_normal((STEP_BLOCK, w.size))
+            batch = keyed_generator(cfg.seed, BATCH_TAG, block)
+            joints = target.minibatches([batch], cfg.m, STEP_BLOCK) if cfg.m < cfg.n else None
+        coeff = dataset.empirical_joint() if joints is None else joints[row, 0]
         grad = -model.weighted_grad(w, coeff)
-        eta = keyed_generator(cfg.seed, NOISE_TAG, t).standard_normal(w.size) * np.sqrt(cfg.epsilon)
+        eta = noise[row] * np.sqrt(cfg.epsilon)
         w = w + 0.5 * cfg.epsilon * (-cfg.n_beta * grad + cfg.gamma * (w_star - w)) + eta
         states.append(w)
     losses = [empirical_loss(model, dataset, state) for state in states]
@@ -228,12 +192,14 @@ class TestRunChains:
         w_star = 0.3 * np.random.default_rng(2).standard_normal(model.dim)
         return model, dataset, w_star
 
+    # m = 300 is the full batch; 9 cells take the index sampler at m = 32 and
+    # the multinomial one at m = 96; T = 300 ends inside the second block
     @pytest.mark.parametrize("parametrization", ["full_table", "low_rank"])
-    @pytest.mark.parametrize("m", [300, 32])
+    @pytest.mark.parametrize("m", [300, 32, 96])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_matches_naive_loop(self, parametrization, m, rows):
         model, dataset, w_star = self.setup(parametrization)
-        configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0 + c, m=m, T=40,
+        configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0 + c, m=m, T=300,
                               epsilon=1e-3 * (c + 1), seed=20 + c) for c in range(rows)]
         traces = run_chains([SoftmaxTarget(model, dataset)] * rows, w_star, configs)
         assert len(traces) == rows
@@ -241,6 +207,50 @@ class TestRunChains:
             states, losses = naive_chain(model, dataset, w_star, cfg)
             np.testing.assert_array_equal(trace.states, states)
             np.testing.assert_array_equal(trace.losses, losses)
+
+    def test_row_alone_beside_others_and_as_prefix(self):
+        # a row's states do not depend on the rows beside it, nor on T: a
+        # shorter chain ending inside a block is a prefix of a longer one
+        model, ds_a, w_star = self.setup("full_table")
+        ds_b = sample_dataset(ds_a.empirical_joint(), 300, seed=9)
+        target_a, target_b = SoftmaxTarget(model, ds_a), SoftmaxTarget(model, ds_b)
+        cfg = SGLDConfig(n=300, beta=0.05, gamma=2.0, m=32, T=600, epsilon=1e-3, seed=5)
+        mixed = run_chains([target_b, target_a, target_a, target_b], w_star,
+                           [cfg, replace(cfg, seed=6), cfg, replace(cfg, seed=7)])
+        alone = run_chain(target_a, w_star, cfg)
+        prefix = run_chain(target_a, w_star, replace(cfg, T=STEP_BLOCK + 45))
+        np.testing.assert_array_equal(mixed[2].states, alone.states)
+        np.testing.assert_array_equal(prefix.states, alone.states[:STEP_BLOCK + 45])
+        np.testing.assert_array_equal(mixed[0].states, run_chain(target_b, w_star, cfg).states)
+
+    @pytest.mark.parametrize("m", [32, 96])
+    def test_draw_chunks_do_not_change_states(self, monkeypatch, m):
+        model, dataset, w_star = self.setup("low_rank")
+        targets = [SoftmaxTarget(model, dataset)] * 3
+        configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=600, epsilon=1e-3,
+                              seed=c) for c in (1, 2, 1)]
+        whole = run_chains(targets, w_star, configs)
+        for entries in (1, 700):  # chunks of one step, and of 5 (m = 32) or 2 (m = 96)
+            monkeypatch.setattr(sgld, "DRAW_ENTRIES", entries)
+            for a, b in zip(whole, run_chains(targets, w_star, configs)):
+                np.testing.assert_array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("m", [89, 90])  # index and multinomial samplers on 9 cells
+    def test_sampler_moments(self, m):
+        # the count table of m uniform draws has mean m·p and covariance
+        # m(diag p − ppᵀ); each moment is checked to 5 standard errors
+        _, dataset, _ = self.setup("full_table")
+        draws = 20_000
+        joints = SoftmaxTarget(SoftmaxModel(k=1, l=1, alphabet_size=3), dataset).minibatches(
+            [keyed_generator(3, BATCH_TAG)], m, draws)
+        counts = joints.reshape(draws, -1) * m
+        np.testing.assert_allclose(counts.sum(axis=1), m)
+        p = dataset.empirical_joint().ravel()
+        sigma = m * (np.diag(p) - np.outer(p, p))
+        var = np.diag(sigma)
+        assert np.all(np.abs(counts.mean(axis=0) - m * p) <= 5 * np.sqrt(var / draws))
+        cov_se = np.sqrt((np.outer(var, var) + sigma**2) / draws)
+        assert np.all(np.abs(np.cov(counts, rowvar=False) - sigma) <= 5 * cov_se)
 
     def test_loss_blocks_do_not_change_losses(self, monkeypatch):
         model, dataset, w_star = self.setup("full_table")
@@ -442,9 +452,6 @@ class TestBounds:
                              epsilon=0.5)
         with pytest.raises(WindowViolationError):
             bound_mu(big_eps, M=1.0)  # 10 < 300 - 4
-
-    def test_bound_f(self):
-        assert bound_f(7, 0.01) == pytest.approx(0.07)
 
     def test_estimator_bound_values(self):
         cfg = self.config()

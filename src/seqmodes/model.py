@@ -163,9 +163,14 @@ class InsensitivityReport:
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:
-    """Norm of each row through the 1-d ``np.linalg.norm`` (BLAS ``dot``), whose
-    rounding an axis-wise norm does not reproduce: a row gets a lone vector's bits."""
-    return np.array([np.linalg.norm(v) for v in vectors])
+    """Norm of each row of a (P, d) array with a lone vector's ``np.linalg.norm`` bits.
+
+    That norm is √(BLAS ``dot``), whose rounding an axis-wise norm does not
+    reproduce; a stack of (1, d) @ (d, 1) products calls the same ``dot`` per
+    row, on a contiguous copy so that strided rows read as a lone copy does.
+    """
+    v = np.ascontiguousarray(vectors, dtype=float)
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
 def _region_stack(model: SoftmaxModel, region_sample) -> np.ndarray:
@@ -428,11 +433,14 @@ class LipschitzEstimates:
 
 
 def lipschitz_estimates(
-    model: SoftmaxModel, dataset: Dataset, region_sample
+    model: SoftmaxModel, data: Dataset | np.ndarray, region_sample
 ) -> LipschitzEstimates:
-    """M = max Hessian spectral norm of L_n over the sample; Q = max ‖∇L_n‖."""
+    """M = max Hessian spectral norm of L_n over the sample; Q = max ‖∇L_n‖.
+
+    ``data`` is a Dataset or its empirical joint q̂[y,x].
+    """
     W = _region_stack(model, region_sample)
-    joint = dataset.empirical_joint()
+    joint = data.empirical_joint() if isinstance(data, Dataset) else np.asarray(data, dtype=float)
     per_m = hessian_norms(model, joint, W)
     per_q = row_norms(model.weighted_grads(W, joint))
     return LipschitzEstimates(M=float(per_m.max()), Q=float(per_q.max()),

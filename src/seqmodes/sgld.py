@@ -9,17 +9,22 @@ size ``n``, a dimension ``dim``, batched full-data losses and gradients over a
 (:class:`SoftmaxTarget`, :class:`QuadraticTarget`). A minibatch of m uniform
 draws with replacement enters the gradient only through its (n_y, n_x) count
 table, which is Multinomial(m, N/n) for the dataset's count table N, so the
-sampler draws that table directly.
+sampler draws that table directly. A target may also name the ``model`` its
+gradient reads, with its full-data coefficients in ``joint``: a
+:class:`SoftmaxTarget`'s gradient on given coefficients reads its model alone.
 
 One engine, :func:`run_chains`, advances every chain: the rows of a (C, d)
-state array move in lockstep, one step at a time. Row c draws its noise and
-its minibatch tables from counter-based streams keyed by (seed_c, tag, block),
-one block per ``STEP_BLOCK`` steps, so each row is reproducible on its own and
-two rows configured with the same seed share their randomness by construction.
-Coupled chains are exactly that: two rows that share a seed, each following
-the loss of its own dataset. Full-data losses, and the reference loss L_n(w*),
-are evaluated after the loop, so the LLC estimate λ̂ = nβ·(mean L_n(w_t) −
-L_n(w*)) reads the trace alone.
+state array move in lockstep, one step at a time, each localized at its own
+centre w*. Row c draws its noise and its minibatch tables from counter-based
+streams keyed by (seed_c, tag, block), one block per ``STEP_BLOCK`` steps, so
+each row is reproducible on its own and two rows configured with the same
+seed share their randomness by construction. Rows whose targets share a model
+take one gradient call per step, on the stack of their rows' joints, however
+many datasets they hold. Coupled chains are two rows that share a seed and a
+centre, each following the loss of its own dataset; :func:`coupled_bound_trials`
+runs the pairs of many seeds as the rows of one engine call. Full-data losses,
+and the reference loss L_n(w*), are evaluated after the loop, so the LLC
+estimate λ̂ = nβ·(mean L_n(w_t) − L_n(w*)) reads the trace alone.
 
 Also here: the trajectory-divergence bound g(t, A), one function over an
 array of steps, with its hyperparameter window; the estimator-difference
@@ -32,7 +37,7 @@ validate both bounds against measured insensitivity constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,7 +66,9 @@ class ChainDivergedError(SGLDError):
     """A chain reached a non-finite state.
 
     ``diagnostics`` holds the 1-based ``step`` that produced it and the
-    ``row`` of the chain; ``last_state`` is that row's last finite state.
+    ``row`` of the chain (from :func:`coupled_bound_trials`: its ``seed`` and
+    ``chain``, "true" or "truncated"); ``last_state`` is that chain's last
+    finite state.
     """
 
     def __init__(self, message: str, diagnostics: dict, last_state: np.ndarray):
@@ -111,7 +118,9 @@ class SGLDConfig:
 # ---------------------------------------------------------------------------
 # Sampling targets: anything with a dataset size, a dimension, batched
 # full-data losses and gradients over a (B, dim) stack of states, and a
-# sampler of minibatch joints with ``cells`` entries each.
+# sampler of minibatch joints with ``cells`` entries each; optionally the
+# ``model`` whose gradient on given coefficients is the target's, with the
+# full-data coefficients in ``joint``.
 # ---------------------------------------------------------------------------
 
 class SoftmaxTarget:
@@ -124,18 +133,20 @@ class SoftmaxTarget:
         self.n = len(dataset)
         self.dim = model.dim
         self.cells = dataset.counts.size
-        self._joint = dataset.empirical_joint()
-        # the dataset's flat cells in cell order: a function of the count table alone
-        self._sorted_cells = np.repeat(np.arange(self.cells),
-                                       dataset.counts.ravel().astype(np.int64))
+        self.joint = dataset.empirical_joint()
+        self._counts = dataset.counts
+        self._sorted_cells = None  # built by the first index draw
 
     def loss(self, W: np.ndarray) -> np.ndarray:
         """L_n(w_b) for each row of W."""
-        return population_losses(self.model, self._joint, W)
+        return population_losses(self.model, self.joint, W)
 
     def grad(self, W: np.ndarray, coeff: np.ndarray | None) -> np.ndarray:
-        """∇L_m(w_b) for each row of W on the minibatch joint coeff[b] (all data if None)."""
-        return -self.model.weighted_grads(W, self._joint if coeff is None else coeff)
+        """∇L_m(w_b) for each row of W on the joint coeff[b] (all data if None).
+
+        Given coefficients, this reads the model alone.
+        """
+        return -self.model.weighted_grads(W, self.joint if coeff is None else coeff)
 
     def minibatches(self, rngs, m: int, size: int) -> np.ndarray:
         """(size, len(rngs), n_y, n_x) minibatch joints, ``size`` from each generator.
@@ -148,14 +159,18 @@ class SoftmaxTarget:
         at m = 256, 1024 and 4096).
         """
         if 10 * self.cells <= m:
-            counts = np.stack([rng.multinomial(m, self._joint.ravel(), size=size)
+            counts = np.stack([rng.multinomial(m, self.joint.ravel(), size=size)
                                for rng in rngs], axis=1)
         else:  # each joint counted in a block of its own
+            if self._sorted_cells is None:
+                # the dataset's flat cells in cell order: a function of the count table alone
+                self._sorted_cells = np.repeat(np.arange(self.cells),
+                                               self._counts.ravel().astype(np.int64))
             idx = np.stack([rng.integers(0, self.n, (size, m)) for rng in rngs], axis=1)
             blocks = np.arange(size * len(rngs)).reshape(size, len(rngs), 1)
             counts = np.bincount((self._sorted_cells[idx] + self.cells * blocks).ravel(),
                                  minlength=blocks.size * self.cells)
-        return counts.reshape((size, len(rngs)) + self._joint.shape) / m
+        return counts.reshape((size, len(rngs)) + self.joint.shape) / m
 
 
 class QuadraticTarget:
@@ -201,12 +216,12 @@ def sgld_step(
 
 @dataclass(eq=False)
 class ChainTrace:
-    """States w_1..w_T with recorded full-data losses and L_n(w*).
+    """States w_1..w_T with recorded full-data losses, the chain's centre w* and L_n(w*).
 
     The first state is the initial point; step t (1-based) produced state t
     from row (t − 1) % STEP_BLOCK of the noise and minibatch draws keyed by
     (config.seed, tag, (t − 1) // STEP_BLOCK), so the whole trace is
-    reproducible from (config, dataset, initial point).
+    reproducible from (config, dataset, centre, initial point).
     """
 
     states: np.ndarray
@@ -226,21 +241,33 @@ class ChainTrace:
 
 LOSS_BLOCK = 1024  # states per batched loss evaluation after the loop
 DRAW_ENTRIES = 1 << 16  # numbers a chunk holds: d a row, m + cells a minibatch stream
+STATE_ENTRIES = 1 << 22  # chain-state numbers one coupled engine call holds: 2·T·d a seed
+
+
+def _per_row(values: list[float]):
+    """One hyperparameter a row for :func:`sgld_step`: a (C, 1) column, or the
+    shared value itself when all rows have it (the same bits, fewer operations)."""
+    if all(value == values[0] for value in values):
+        return values[0]
+    return np.array(values)[:, None]
 
 
 def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = None
                ) -> list[ChainTrace]:
     """Advance one chain per (target, config) row in lockstep; one trace per row.
 
-    All rows share the localization center w*, the start point ``init``
-    (default w*) and T, n and m. Row c takes its step-t noise and minibatch
-    joint from row (t − 1) % STEP_BLOCK of the draws keyed by
+    ``w_star`` is one localization centre for every row or a (C, d) array of
+    one a row; ``init`` likewise gives the start points (default: the
+    centres). All rows share T, n and m. Row c takes its step-t noise and
+    minibatch joint from row (t − 1) % STEP_BLOCK of the draws keyed by
     (seed_c, tag, (t − 1) // STEP_BLOCK); rows with equal seeds draw the noise
     once, rows with equal seeds and targets the minibatches. A block is drawn
     in sequential chunks of about ``DRAW_ENTRIES`` numbers, which give the
     same bits as one draw. Each step evaluates one batched gradient per
-    distinct target; full-data losses are evaluated after the loop in blocks
-    of at most ``LOSS_BLOCK`` states, and L_n(w*) once per distinct target.
+    distinct target, except that rows whose targets share a ``model`` take one
+    call on the (rows, n_y, n_x) stack of their full-data or minibatch joints.
+    Full-data losses are evaluated per distinct target after the loop, in
+    blocks of at most ``LOSS_BLOCK`` states, and L_n(w*) at each row's centre.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -252,30 +279,45 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         if target.n != config.n:
             raise SGLDError(f"config.n = {config.n} does not match dataset size {target.n}")
     w_star = np.asarray(w_star, dtype=float)
-    rows, d = len(targets), w_star.size
+    rows, d = len(targets), w_star.shape[-1]
+    if w_star.shape not in ((d,), (rows, d)):
+        raise SGLDError(f"w_star must be one centre or one a row, got shape {w_star.shape}")
+    centers = np.broadcast_to(w_star, (rows, d))
     states = np.empty((rows, T, d))
-    states[:, 0] = w_star if init is None else np.asarray(init, dtype=float)
+    states[:, 0] = centers if init is None else np.asarray(init, dtype=float)
 
-    eps = np.array([[config.epsilon] for config in configs])
-    sqrt_eps = np.sqrt(eps)
-    n_beta = np.array([[config.n_beta] for config in configs])
-    gamma = np.array([[config.gamma] for config in configs])
+    sqrt_eps = np.sqrt([[config.epsilon] for config in configs])
+    eps, n_beta, gamma = (_per_row([getattr(config, name) for config in configs])
+                          for name in ("epsilon", "n_beta", "gamma"))
     seeds, seed_of_row = np.unique([config.seed for config in configs], return_inverse=True)
     by_target: dict[int, tuple[object, list[int]]] = {}
     for c, target in enumerate(targets):
         by_target.setdefault(id(target), (target, []))[1].append(c)
-    # per distinct target: (target, its rows, row count, the seeds it draws
-    # minibatches for, each row's among them); contiguous rows take a view
-    groups = []
+    # per distinct target: (target, its rows, the seeds it draws minibatches
+    # for, each row's among them); one seed a row in row order takes a view
+    streams = []
     for target, members in by_target.values():
         batch_seeds, pick = np.unique(seeds[seed_of_row[members]], return_inverse=True)
-        if np.array_equal(pick, np.arange(len(members))):  # one seed a row, in row order
+        if np.array_equal(pick, np.arange(len(members))):
             pick = slice(None)
+        streams.append((target, members, batch_seeds if m < n else [], pick))
+    # per gradient call: (a target, its rows, the streams it stacks with the
+    # positions of their rows in it, the full-data stack); None stacks mean one
+    # target, whose coefficients are its own; contiguous rows take a view
+    by_model: dict[int, list[int]] = {}
+    for i, (target, _, _, _) in enumerate(streams):
+        by_model.setdefault(id(getattr(target, "model", target)), []).append(i)
+    calls = []
+    for shared in by_model.values():
+        members = sorted(c for i in shared for c in streams[i][1])
+        parts = [(i, np.searchsorted(members, streams[i][1])) for i in shared]
+        full = np.stack([targets[c].joint for c in members]) if len(shared) > 1 else None
         contiguous = members[-1] + 1 - members[0] == len(members)
         own = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
-        groups.append((target, own, len(members), batch_seeds if m < n else [], pick))
-    width = rows * d + sum(len(bs) * (m + target.cells)
-                           for target, _, _, bs, _ in groups if len(bs))
+        calls.append((streams[shared[0]][0], own, parts, full))
+    width = rows * d + sum(len(bs) * (m + target.cells) for target, _, bs, _ in streams if len(bs))
+    if m < n:
+        width += sum(full.size for _, _, _, full in calls if full is not None)
     chunk_steps = max(1, min(STEP_BLOCK, DRAW_ENTRIES // width))
 
     w = states[:, 0].copy()
@@ -285,41 +327,58 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         block = (start - 1) // STEP_BLOCK
         noise = [keyed_generator(seed, NOISE_TAG, block) for seed in seeds]
         batch = [[keyed_generator(seed, BATCH_TAG, block) for seed in bs]
-                 for _, _, _, bs, _ in groups]
+                 for _, _, bs, _ in streams]
         for t0 in range(start, min(start + STEP_BLOCK, T), chunk_steps):
             k = min(chunk_steps, start + STEP_BLOCK - t0, T - t0)
             for rng, out in zip(noise, draws):
                 rng.standard_normal(out=out[:k])
             np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None], out=eta[:, :k])
-            coeffs = [group[0].minibatches(rngs, m, k) if rngs else None
-                      for group, rngs in zip(groups, batch)]
-            for j in range(k):
-                for (target, own, _, _, pick), coeff in zip(groups, coeffs):
-                    grad[own] = target.grad(w[own], None if coeff is None else coeff[j, pick])
-                w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta[:, j])
-                t = t0 + j
-                if not np.isfinite(w).all():
-                    c = int(np.flatnonzero(~np.isfinite(w).all(axis=1))[0])
-                    raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
-                                             {"step": t, "row": c}, states[c, t - 1].copy())
-                states[:, t] = w
+            drawn = []  # per stream: (k, its rows, n_y, n_x) joints, or None
+            for (target, _, _, pick), rngs in zip(streams, batch):
+                joints = target.minibatches(rngs, m, k) if rngs else None
+                drawn.append(None if joints is None else joints[:, pick])
+            coeffs = []  # per call: its step-by-step coefficients, or None for its own
+            for _, _, parts, full in calls:
+                if full is None:
+                    coeffs.append(drawn[parts[0][0]])
+                elif m == n:
+                    coeffs.append(np.broadcast_to(full, (k,) + full.shape))
+                else:
+                    stack = np.empty((k,) + full.shape)
+                    for i, positions in parts:
+                        stack[:, positions] = drawn[i]
+                    coeffs.append(stack)
+            # a non-finite state raises after the chunk, so the steps past it run quietly
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(k):
+                    for (target, own, _, _), coeff in zip(calls, coeffs):
+                        grad[own] = target.grad(w[own], None if coeff is None else coeff[j])
+                    w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta[:, j])
+                    states[:, t0 + j] = w
+            finite = np.isfinite(states[:, t0:t0 + k]).all(axis=2)  # (rows, k)
+            if not finite.all():  # the first non-finite step, and its first row
+                j = int(np.flatnonzero(~finite.all(axis=0))[0])
+                c, t = int(np.flatnonzero(~finite[:, j])[0]), t0 + j
+                raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
+                                         {"step": t, "row": c}, states[c, t - 1].copy())
 
     losses = np.empty((rows, T))
     reference = np.empty(rows)
-    for target, members, count, _, _ in groups:
+    for target, members, _, _ in streams:
+        count = len(members)
         block = max(1, LOSS_BLOCK // count)
         for t0 in range(0, T, block):
             chunk = states[members, t0:t0 + block]
             losses[members, t0:t0 + block] = target.loss(chunk.reshape(-1, d)).reshape(count, -1)
-        reference[members] = target.loss(w_star[None])[0]
+        reference[members] = target.loss(centers[members])
     traces = []
     for c, config in enumerate(configs):
         violations = 0
         if config.weight_norm_cap is not None:
             violations = int(np.count_nonzero(
-                row_norms(states[c, 1:] - w_star) > config.weight_norm_cap))
+                row_norms(states[c, 1:] - centers[c]) > config.weight_norm_cap))
         traces.append(ChainTrace(states=states[c], losses=losses[c], config=config,
-                                 w_star=w_star, reference_loss=float(reference[c]),
+                                 w_star=centers[c], reference_loss=float(reference[c]),
                                  norm_cap_violations=violations))
     return traces
 
@@ -361,7 +420,11 @@ def llc_estimate(trace: ChainTrace) -> LLCEstimate:
 class CoupledChains:
     trace_true: ChainTrace
     trace_truncated: ChainTrace
-    deltas: np.ndarray  # ‖w_t − w̃_t‖ for t = 1..T (index 0 is the shared start)
+    # ‖w_t − w̃_t‖ for t = 1..T (index 0 is the shared start)
+    deltas: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.deltas = row_norms(self.trace_true.states - self.trace_truncated.states)
 
 
 def run_coupled_chains(target_true, target_truncated, w_star: np.ndarray,
@@ -373,10 +436,8 @@ def run_coupled_chains(target_true, target_truncated, w_star: np.ndarray,
     same point. They are two rows of one :func:`run_chains` call that share
     the config, hence the seed (and so both targets must have its n).
     """
-    trace_a, trace_b = run_chains([target_true, target_truncated], w_star,
-                                  [config, config], init)
-    return CoupledChains(trace_true=trace_a, trace_truncated=trace_b,
-                         deltas=row_norms(trace_a.states - trace_b.states))
+    return CoupledChains(*run_chains([target_true, target_truncated], w_star,
+                                     [config, config], init))
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +616,62 @@ REGION_POINTS = 160  # ball points in a coupled trial's evaluation set
 REGION_SCALE = 1.5  # ball radius over the larger chain excursion
 
 
+def coupled_bound_trials(
+    model: SoftmaxModel,
+    joint_true: np.ndarray,
+    joint_truncated: np.ndarray,
+    config: SGLDConfig,
+    seeds,
+):
+    """Seeded coupled runs with measured constants: yields one result per seed, in order.
+
+    Seed s draws its true and truncated datasets, fits w* on the true one and
+    couples a chain on each, both localized at w* and seeded by s (``config``
+    with burn-in 0). Consecutive seeds form groups whose states, 2·T·d numbers
+    a seed, fit in ``STATE_ENTRIES`` (at least one seed a group); one
+    :func:`run_chains` call advances every pair of a group, and each seed's
+    constants pass then runs on its own traces (see
+    :func:`coupled_bound_trial`). A group's results are yielded before the
+    next group runs, so a consumer that keeps only summaries holds the states
+    of at most two groups at a time, whatever the number of seeds.
+
+    If a chain diverges, no further result is yielded, but every group's
+    chains still run: :class:`ChainDivergedError` reports the earliest
+    non-finite step over all seeds (the earlier seed in ``seeds`` on a tie),
+    its ``seed`` and its ``chain``, "true" or "truncated".
+    """
+    seeds = [int(seed) for seed in seeds]
+    group_size = max(1, STATE_ENTRIES // (2 * config.T * model.dim))
+    failure = None  # (step, position in seeds, row in its pair, last finite state)
+    for start in range(0, len(seeds), group_size):
+        group = seeds[start:start + group_size]
+        targets, centers, configs = [], [], []
+        for seed in group:
+            dataset_true = sample_dataset(joint_true, config.n, seed=seed)
+            dataset_trunc = sample_dataset(joint_truncated, config.n, seed=seed + 1_000_003)
+            targets += [SoftmaxTarget(model, dataset_true), SoftmaxTarget(model, dataset_trunc)]
+            centers += [fit_model(model, dataset_true).w] * 2
+            configs += [replace(config, seed=seed, burn_in=0.0)] * 2
+        try:
+            traces = run_chains(targets, np.array(centers), configs)
+        except ChainDivergedError as exc:
+            row = exc.diagnostics["row"]
+            found = (exc.diagnostics["step"], start + row // 2, row % 2, exc.last_state)
+            failure = found if failure is None or found[:2] < failure[:2] else failure
+            continue
+        if failure is None:
+            for i, seed in enumerate(group):
+                yield _measured_trial(model, targets[2 * i].joint, targets[2 * i + 1].joint,
+                                      CoupledChains(*traces[2 * i:2 * i + 2]), seed)
+        del traces  # before the next group's states exist
+    if failure is not None:
+        step, position, row, last_state = failure
+        seed, chain = seeds[position], ("true", "truncated")[row]
+        raise ChainDivergedError(
+            f"non-finite state in the {chain} chain of seed {seed} at step {step}",
+            {"step": step, "seed": seed, "chain": chain}, last_state)
+
+
 def coupled_bound_trial(
     model: SoftmaxModel,
     joint_true: np.ndarray,
@@ -564,20 +681,23 @@ def coupled_bound_trial(
 ) -> CoupledTrialResult:
     """One seeded coupled run with constants measured on the visited region.
 
-    The evaluation set is w*, a seeded ball sample of ``REGION_POINTS`` points
-    around w* (radius ``REGION_SCALE`` × the larger chain excursion) and both
-    chains' own states at a stride of T // 64, which operationalizes the
-    supremum over a region known to contain the trajectories. A, B, M and Q
-    are all maxima over that one set; M and Q are exact at each point. Bounds
-    are only asserted when the hyperparameter window holds for the measured M̂.
+    The one-seed case of :func:`coupled_bound_trials`. The evaluation set is
+    w*, a seeded ball sample of ``REGION_POINTS`` points around w* (radius
+    ``REGION_SCALE`` × the larger chain excursion) and both chains' own
+    states at a stride of T // 64, which operationalizes the supremum over a
+    region known to contain the trajectories. A, B, M and Q are all maxima
+    over that one set; M and Q are exact at each point. Bounds are only
+    asserted when the hyperparameter window holds for the measured M̂.
     """
-    dataset_true = sample_dataset(joint_true, config.n, seed=seed)
-    dataset_trunc = sample_dataset(joint_truncated, config.n, seed=seed + 1_000_003)
-    w_star = fit_model(model, dataset_true).w
-    run_config = replace(config, seed=seed, burn_in=0.0)
-    coupled = run_coupled_chains(SoftmaxTarget(model, dataset_true),
-                                 SoftmaxTarget(model, dataset_trunc), w_star, run_config)
+    return next(coupled_bound_trials(model, joint_true, joint_truncated, config, [seed]))
 
+
+def _measured_trial(model: SoftmaxModel, q_true: np.ndarray, q_truncated: np.ndarray,
+                    coupled: CoupledChains, seed: int) -> CoupledTrialResult:
+    """The constants pass of :func:`coupled_bound_trial` on a seed's coupled chains,
+    whose datasets have the empirical joints ``q_true`` and ``q_truncated``."""
+    run_config = coupled.trace_true.config
+    w_star = coupled.trace_true.w_star
     excursion = max(
         coupled.trace_true.distances_to_center().max(),
         coupled.trace_truncated.distances_to_center().max(),
@@ -586,16 +706,15 @@ def coupled_bound_trial(
     radius = REGION_SCALE * float(excursion)
     rng = keyed_generator(seed, REGION_TAG)
     ball = _ball_sample(rng, w_star, radius, REGION_POINTS)
-    stride = max(1, config.T // 64)
+    stride = max(1, run_config.T // 64)
     trail = np.vstack([
         coupled.trace_true.states[::stride],
         coupled.trace_truncated.states[::stride],
     ])
     points = np.vstack([w_star[None, :], ball, trail])
 
-    report = insensitivity_report(model, dataset_true.empirical_joint(),
-                                  dataset_trunc.empirical_joint(), points)
-    lip = lipschitz_estimates(model, dataset_true, points)
+    report = insensitivity_report(model, q_true, q_truncated, points)
+    lip = lipschitz_estimates(model, q_true, points)
 
     window_ok, window_text = run_config.window_check(lip.M)
     g_series = None
@@ -606,7 +725,7 @@ def coupled_bound_trial(
     est_trunc = llc_estimate(coupled.trace_truncated)
     diff = abs(est_true.lambda_hat - est_trunc.lambda_hat)
     if window_ok:
-        g_series = bound_g(np.arange(1, config.T + 1), report.A, 0.0, run_config, lip.M)
+        g_series = bound_g(np.arange(1, run_config.T + 1), report.A, 0.0, run_config, lip.M)
         delta_ok = bool(np.all(coupled.deltas <= g_series + 1e-12))
         est_bound = estimator_difference_bound(report.A, report.B, 0.0, 0.0, lip.Q, lip.M, run_config)
         llc_ok = bool(diff <= est_bound)

@@ -230,7 +230,8 @@ def _column_sums_from_chi(dec: ModeDecomposition) -> int:
 
 
 def _newton_kl(dec: ModeDecomposition, chi: int):
-    """Below full retention: (truth, conditional, Newton steps, KKT residual, converged).
+    """Below full retention: (truth, conditional, Newton steps, KKT residual, converged),
+    or None when the truth itself lies in the retained span.
 
     F = U_b G V̂_aᵀ has column sums V̂_a Gᵀs, s = U_bᵀ1. The v̂ are q-orthonormal,
     so these are all 1 only if Gᵀs = c = V̂_aᵀq and V̂_a c = 1, which is checked
@@ -256,6 +257,8 @@ def _newton_kl(dec: ModeDecomposition, chi: int):
     joint = truth * dec.marginal[None, :]
     G = np.outer(s, c) / (s @ s) + N @ (N.T @ (left.T @ joint @ vhat))
     F = (left @ G @ vhat.T).ravel()
+    if np.max(np.abs(F - truth.ravel())) <= _SUM_TOL:
+        return None
     iterations = 0
     if F.min() <= 0:
         F, iterations = _phase_one(A, F, chi)
@@ -290,13 +293,15 @@ def truncate_kl(dec: ModeDecomposition, chi: int) -> EffectiveDistribution:
     """
     chi = int(chi)
     _check_chi(dec, chi)
-    if chi >= dec.n_modes - 1:
-        # Every mode retained: the truth itself is the unique minimizer.
+    solved = _newton_kl(dec, chi) if chi < dec.n_modes - 1 else None
+    if solved is None:
+        # Every mode retained, or the nearest member of the affine set is the
+        # truth within _SUM_TOL: the truth itself is the unique minimizer.
         clipped = np.clip(reconstruct_matrix(dec), 0.0, None)
         cond, iterations, kkt, converged = clipped / clipped.sum(axis=0), 0, 0.0, True
         kl, distance = 0.0, 0.0
     else:
-        truth, cond, iterations, kkt, converged = _newton_kl(dec, chi)
+        truth, cond, iterations, kkt, converged = solved
         kl, distance = kl_conditional(truth, cond, dec.marginal), subspace_distance(dec, cond, chi)
     return EffectiveDistribution(
         k=dec.k, l=dec.l, conditional=cond, marginal=dec.marginal.copy(),

@@ -43,7 +43,7 @@ from seqmodes.sgld import (
     QuadraticTarget,
     SGLDConfig,
     SoftmaxTarget,
-    coupled_bound_trial,
+    coupled_bound_trials,
     llc_estimate,
     run_chains,
     volume_scaling_fit,
@@ -261,8 +261,7 @@ def coupled_experiment():
     model = SoftmaxModel(k=1, l=1, alphabet_size=3)
     n = 20_000
     cfg = SGLDConfig(n=n, beta=10.0 / n, gamma=2.5, m=n, T=400, epsilon=1e-3)
-    results = [coupled_bound_trial(model, op.joint(), eff.joint(), cfg, seed=s)
-               for s in range(100)]
+    results = list(coupled_bound_trials(model, op.joint(), eff.joint(), cfg, range(100)))
     return results, time.perf_counter() - t0
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,18 @@ from seqmodes.distribution import (
     random_doubly_stochastic_language,
     random_language,
 )
+from seqmodes import sgld
+from seqmodes.model import SoftmaxModel, fit_model, sample_dataset
 from seqmodes.modes import ModeError, weighted_svd
-from seqmodes.sgld import SGLDConfig, bound_g
+from seqmodes.sgld import (
+    ChainDivergedError,
+    SGLDConfig,
+    SoftmaxTarget,
+    bound_g,
+    coupled_bound_trial,
+    run_chain,
+)
+from seqmodes.truncation import truncate
 
 
 @pytest.fixture()
@@ -315,6 +326,72 @@ class TestLlcAndCouple:
         assert report["llc_bound_pass"] == 2
         hyper = report["hyperparameters"]
         assert hyper["epsilon"] == 1e-3 and "eps_min" not in hyper and "eps_max" not in hyper
+
+    def test_couple_seed_groups_give_identical_artifacts(self, fixture_language, tmp_path,
+                                                         monkeypatch):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "language": str(fixture_language), "k": 1, "l": 1, "chi": 1,
+            "n": 2000, "m": 300, "T": 80, "n_seeds": 3, "seed": 4,
+        }))
+        names = ["coupled_report.json", "coupled_trace.csv"]
+        runs = []
+        for budget in (None, 1, 2 * 80 * 2 * 2):  # one group; one seed a group; 2 + 1 seeds
+            if budget is not None:
+                monkeypatch.setattr(sgld, "STATE_ENTRIES", budget)
+            out = tmp_path / f"couple{budget}"
+            assert main(["couple", "--config", str(config), "--out", str(out)]) == 0
+            runs.append([(out / name).read_bytes() for name in names])
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_couple_divergence_names_seed_chain_and_step(self, fixture_language, tmp_path,
+                                                         capsys, monkeypatch):
+        # every seed diverges; the report names the earliest non-finite step
+        # over all seeds, which here is not the first seed's
+        fields = {"language": str(fixture_language), "k": 1, "l": 1, "chi": 1,
+                  "n": 1000, "T": 4000, "epsilon": 1.8, "n_seeds": 6}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(fields))
+        op = conditional_operator(random_doubly_stochastic_language(7, 3), 1, 1)
+        eff = truncate(weighted_svd(op), 1)
+        cfg = cli._sgld_config_from(fields, 1000, seed=0)
+        per_seed = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for seed in range(6):
+                with pytest.raises(ChainDivergedError) as err:
+                    coupled_bound_trial(SoftmaxModel(k=1, l=1, alphabet_size=3), op.joint(),
+                                        eff.joint(), cfg, seed)
+                per_seed.append(err.value.diagnostics)
+            earliest = min(per_seed, key=lambda d: (d["step"], d["seed"]))
+            assert earliest["seed"] != 0 and earliest["step"] < per_seed[0]["step"]
+            texts = []
+            for budget in (None, 1):  # one group, and one seed a group
+                if budget is not None:
+                    monkeypatch.setattr(sgld, "STATE_ENTRIES", budget)
+                out = tmp_path / f"couple{budget}"
+                assert main(["couple", "--config", str(config), "--out", str(out)]) == 4
+                texts.append((out / "numerical_failure.json").read_text())
+                assert not (out / "coupled_report.json").exists()
+            # the named chain, run alone on its seed's dataset, diverges at that
+            # step, and its partner later
+            seed, model = earliest["seed"], SoftmaxModel(k=1, l=1, alphabet_size=3)
+            datasets = {"true": sample_dataset(op.joint(), 1000, seed=seed),
+                        "truncated": sample_dataset(eff.joint(), 1000, seed=seed + 1_000_003)}
+            w_star = fit_model(model, datasets["true"]).w
+            steps = {}
+            for chain, dataset in datasets.items():
+                with pytest.raises(ChainDivergedError) as err:
+                    run_chain(SoftmaxTarget(model, dataset), w_star,
+                              replace(cfg, seed=seed, burn_in=0.0))
+                steps[chain] = err.value.diagnostics["step"]
+        other = "true" if earliest["chain"] == "truncated" else "truncated"
+        assert steps[earliest["chain"]] == earliest["step"] < steps[other]
+        assert texts[1] == texts[0]
+        failure = json.loads(texts[0])
+        assert failure["diagnostics"] == earliest
+        assert failure["error"] == (f"non-finite state in the {earliest['chain']} chain of seed "
+                                    f"{earliest['seed']} at step {earliest['step']}")
+        assert f"numerical failure: {failure['error']}" in capsys.readouterr().err
 
     def test_couple_zero_seeds_exit_2(self, fixture_language, tmp_path, capsys):
         code = main(["couple", "--language", str(fixture_language), "--k", "1", "--l", "1",

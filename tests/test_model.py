@@ -26,6 +26,7 @@ from seqmodes.model import (
     phi_map,
     population_loss,
     population_losses,
+    row_norms,
     sample_dataset,
 )
 
@@ -298,6 +299,27 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(grads[b], model.weighted_grad(w, coeffs[b]))
             np.testing.assert_array_equal(shared[b], model.weighted_grad(w, joint))
             assert losses[b] == population_loss(model, joint, w)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 31, 128, 129, 1000])
+    def test_equals_lone_vector_norm(self, d):
+        # each row gets the bits of np.linalg.norm on that row alone, whatever
+        # the layout of the stack it comes in
+        rng = np.random.default_rng(d)
+        base = rng.standard_normal((12, 3 * d))
+        stacks = {
+            "contiguous": base[:, :d],
+            "strided": base[::2, ::3],
+            "fortran": np.asfortranarray(base[:, :d]),
+            "wide_scale": base[:, :d] * 10.0 ** rng.integers(-150, 150, (12, 1)),
+        }
+        for name, vectors in stacks.items():
+            expected = np.array([np.linalg.norm(v) for v in vectors])
+            np.testing.assert_array_equal(row_norms(vectors), expected, err_msg=name)
+
+    def test_no_rows(self):
+        assert row_norms(np.empty((0, 3))).shape == (0,)
 
 
 class TestFit:

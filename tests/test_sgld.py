@@ -24,6 +24,7 @@ from seqmodes.sgld import (
     bound_g,
     bound_mu,
     coupled_bound_trial,
+    coupled_bound_trials,
     llc_estimate,
     estimator_difference_bound,
     run_chain,
@@ -312,6 +313,49 @@ class TestRunChains:
             expected = sum(np.linalg.norm(w - w_star) > 0.45 for w in states[1:])
             assert 0 < trace.norm_cap_violations == expected < cfg.T - 1
 
+    @pytest.mark.parametrize("m", [300, 32])
+    def test_per_row_centres_equal_separate_runs(self, m):
+        # rows on three datasets of one model, each with its own centre and
+        # start: one engine call gives each row's lone chain, centre and L_n(w*)
+        model, ds_a, w_star = self.setup("full_table")
+        datasets = [ds_a] + [sample_dataset(ds_a.empirical_joint(), 300, seed=s) for s in (8, 9)]
+        targets = [SoftmaxTarget(model, ds) for ds in datasets] + [SoftmaxTarget(model, ds_a)]
+        rng = np.random.default_rng(3)
+        centres = w_star + 0.1 * rng.standard_normal((4, model.dim))
+        init = centres + 0.05 * rng.standard_normal((4, model.dim))
+        configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=300, epsilon=1e-3, seed=s,
+                              weight_norm_cap=0.3) for s in (4, 4, 5, 6)]
+        together = run_chains(targets, centres, configs, init)
+        for c, trace in enumerate(together):
+            alone = run_chain(targets[c], centres[c], configs[c], init[c])
+            np.testing.assert_array_equal(trace.states, alone.states)
+            np.testing.assert_array_equal(trace.losses, alone.losses)
+            np.testing.assert_array_equal(trace.w_star, centres[c])
+            assert trace.reference_loss == alone.reference_loss
+            assert trace.norm_cap_violations == alone.norm_cap_violations > 0
+
+    def test_one_gradient_call_per_step_per_model(self, monkeypatch):
+        model, ds_a, w_star = self.setup("low_rank")
+        datasets = [sample_dataset(ds_a.empirical_joint(), 300, seed=s) for s in range(4)]
+        targets = [SoftmaxTarget(model, ds) for ds in datasets]
+        targets.append(QuadraticTarget(np.ones(model.dim), n=300))
+        calls = []
+        kernel = SoftmaxModel.weighted_grads
+        monkeypatch.setattr(SoftmaxModel, "weighted_grads",
+                            lambda self, W, coeff: calls.append(len(W)) or kernel(self, W, coeff))
+        for m in (300, 32):
+            calls.clear()
+            configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=40, epsilon=1e-3,
+                                  seed=s) for s in range(5)]
+            run_chains(targets, w_star, configs)
+            assert calls == [4] * 39
+
+    def test_centres_must_match_rows(self):
+        target = QuadraticTarget(np.array([1.0, 2.0]), n=10)
+        cfg = SGLDConfig(n=10, beta=1.0, gamma=1.0, m=10, T=5, epsilon=1e-3)
+        with pytest.raises(SGLDError):
+            run_chains([target] * 2, np.zeros((3, 2)), [cfg] * 2)
+
     def test_lockstep_rows_must_share_length(self):
         target = QuadraticTarget(np.array([1.0]), n=10)
         short = SGLDConfig(n=10, beta=1.0, gamma=1.0, m=10, T=5, epsilon=1e-3)
@@ -486,7 +530,52 @@ class TestVolumeScaling:
             volume_scaling_fit(lambda w: w[:, 0] ** 2, 1, 1.0, np.array([0.5, 1.5]))
 
 
+def assert_same_trial(a, b):
+    assert a.to_summary() == b.to_summary() and a.window_text == b.window_text
+    for trace_a, trace_b in ((a.coupled.trace_true, b.coupled.trace_true),
+                             (a.coupled.trace_truncated, b.coupled.trace_truncated)):
+        np.testing.assert_array_equal(trace_a.states, trace_b.states)
+        np.testing.assert_array_equal(trace_a.losses, trace_b.losses)
+        np.testing.assert_array_equal(trace_a.w_star, trace_b.w_star)
+    np.testing.assert_array_equal(a.deltas, b.deltas)
+    np.testing.assert_array_equal(a.g_series, b.g_series)
+
+
 class TestCoupledTrial:
+    def setup(self):
+        lang = random_doubly_stochastic_language(7, 3)
+        op = conditional_operator(lang, 1, 1)
+        eff = truncate_kl(weighted_svd(op), 1)
+        return SoftmaxModel(k=1, l=1, alphabet_size=3), op.joint(), eff.joint()
+
+    @pytest.mark.parametrize("m", [4000, 500])
+    def test_batched_trials_equal_per_seed_trials(self, m):
+        model, q_true, q_trunc = self.setup()
+        cfg = SGLDConfig(n=4000, beta=10.0 / 4000, gamma=2.5, m=m, T=120, epsilon=1e-3)
+        seeds = [5, 3, 8]
+        batched = list(coupled_bound_trials(model, q_true, q_trunc, cfg, seeds))
+        assert [r.seed for r in batched] == seeds
+        for result, seed in zip(batched, seeds):
+            assert_same_trial(result, coupled_bound_trial(model, q_true, q_trunc, cfg, seed))
+            # and each chain is the lone chain on its seed's dataset
+            ds_true = sample_dataset(q_true, 4000, seed=seed)
+            ds_trunc = sample_dataset(q_trunc, 4000, seed=seed + 1_000_003)
+            w_star, run_cfg = fit_model(model, ds_true).w, replace(cfg, seed=seed, burn_in=0.0)
+            for trace, dataset in ((result.coupled.trace_true, ds_true),
+                                   (result.coupled.trace_truncated, ds_trunc)):
+                alone = run_chain(SoftmaxTarget(model, dataset), w_star, run_cfg)
+                np.testing.assert_array_equal(trace.states, alone.states)
+                np.testing.assert_array_equal(trace.losses, alone.losses)
+
+    def test_seed_groups_do_not_change_results(self, monkeypatch):
+        model, q_true, q_trunc = self.setup()
+        cfg = SGLDConfig(n=4000, beta=10.0 / 4000, gamma=2.5, m=500, T=120, epsilon=1e-3)
+        whole = list(coupled_bound_trials(model, q_true, q_trunc, cfg, range(5)))
+        for seeds_a_group in (1, 2):  # groups of 1 seed, and of 2, 2 and 1
+            monkeypatch.setattr(sgld, "STATE_ENTRIES", seeds_a_group * 2 * 120 * model.dim)
+            for a, b in zip(whole, coupled_bound_trials(model, q_true, q_trunc, cfg, range(5))):
+                assert_same_trial(a, b)
+
     def test_trial_structure(self):
         lang = random_doubly_stochastic_language(7, 3)
         op = conditional_operator(lang, 1, 1)

@@ -10,6 +10,7 @@ from seqmodes.distribution import (
     Language,
     conditional_operator,
     fundamental_tensor,
+    plant_collective_bigram,
     random_doubly_stochastic_language,
     random_language,
 )
@@ -129,6 +130,19 @@ class TestTruncateKl:
         eff = truncate_kl(dec, dec.n_modes - 1)
         np.testing.assert_allclose(eff.conditional, op.matrix, atol=1e-10)
         assert eff.provenance["kl_divergence"] < 1e-10
+
+    @pytest.mark.parametrize("chi", [4, 5, 6])
+    def test_truth_in_span_is_its_own_answer(self, chi):
+        # the planted collective bigram has rank 5 of 8, so from chi 4 on the
+        # truth (with exact zeros) lies in the retained span: no Newton step,
+        # and the answer full retention gives
+        lang = plant_collective_bigram(random_language(3, 8, 2), [(0,), (2,), (4,), (6,)], (1,))
+        dec = weighted_svd(conditional_operator(lang, 1, 1))
+        eff = truncate_kl(dec, chi)
+        full = truncate_kl(dec, dec.n_modes - 1)
+        np.testing.assert_array_equal(eff.conditional, full.conditional)
+        assert eff.provenance == {**full.provenance, "chi": chi}
+        assert eff.provenance["kl_divergence"] == 0.0 and eff.provenance["iterations"] == 0
 
     def test_independence_top_mode(self):
         # with one retained mode the only feasible point is the continuation marginal

@@ -101,14 +101,6 @@ def _decode(codes: np.ndarray, width: int, alphabet_size: int) -> list[list[int]
     return (codes[:, None] // _places(alphabet_size, width) % alphabet_size).tolist()
 
 
-def _labels(codes: np.ndarray, width: int, alphabet_size: int) -> np.ndarray:
-    """Comma-joined token ids of each code, formatted once per distinct code."""
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    names = np.array([",".join(map(str, ids)) for ids in _decode(distinct, width, alphabet_size)],
-                     dtype=object)
-    return names[inverse]
-
-
 @dataclass
 class CountTable:
     """Window counts for a (k, l) split, after frequency filtering.
@@ -141,11 +133,13 @@ class CountTable:
         self.xy_codes = np.asarray(self.xy_codes, dtype=np.int64).reshape(-1, 2)
         x, y = self.xy_codes.T
         step = np.diff(x)
+        used = np.append(x[:1], x[1:][step != 0])  # each distinct context, in any order
+        at = np.searchsorted(self.x_codes, used)  # a lookup once x_codes are seen to ascend
         if (self.x_codes.size != self.x_counts.size or x.size != self.xy_counts.size
                 or np.any(self.x_counts < 1) or np.any(self.xy_counts < 1)
                 or np.any(np.diff(self.x_codes) <= 0)
                 or np.any((step < 0) | ((step == 0) & (np.diff(y) <= 0)))
-                or not np.all(np.isin(x, self.x_codes))):
+                or np.any(at == self.x_codes.size) or not np.array_equal(self.x_codes[at], used)):
             raise CorpusError("a count table needs distinct ascending codes aligned with "
                               "positive counts, and every pair's context among x_codes")
 
@@ -170,6 +164,21 @@ def _windows(stream: TokenStream, k: int, l: int):
     return window[:, :k] @ x_places, window[:, k:] @ y_places, room >= k, room >= k + l
 
 
+def _tally(codes: np.ndarray, space: int):
+    """Distinct codes in ascending order, each code's rank among them, and their counts.
+
+    ``codes`` lie in [0, space). When the code space is no larger than the
+    number of codes, one ``bincount`` over the space and a cumulative-sum rank
+    lookup replace the sort; otherwise ``np.unique`` sorts. Both give the same
+    three arrays.
+    """
+    if space <= codes.size:
+        counts = np.bincount(codes, minlength=space)
+        present = counts > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[codes], counts[present]
+    return np.unique(codes, return_inverse=True, return_counts=True)
+
+
 def stream_ngram_counts(
     stream: TokenStream, k: int, l: int, min_count: int = 1, min_y_count: int = 1
 ) -> CountTable:
@@ -188,9 +197,10 @@ def stream_ngram_counts(
     if not windows:
         raise CorpusError(f"no windows: every document is shorter than k + l = {k + l}")
 
-    x_codes, x_inverse, x_counts = np.unique(x[fits], return_inverse=True, return_counts=True)
-    x_rank = x_inverse[full[fits]]
-    y_codes, y_rank = np.unique(y[full], return_inverse=True)
+    size = int(stream.alphabet_size)
+    x_codes, x_rank, x_counts = _tally(x[fits], size**k)
+    x_rank = x_rank[full[fits]]
+    y_codes, y_rank, _ = _tally(y[full], size**l)
     kept_x = x_counts >= min_count
     live = kept_x[x_rank]
     kept_y = np.bincount(y_rank[live], minlength=y_codes.size) >= min_y_count
@@ -229,17 +239,17 @@ def build_conditional_matrix(
 
     # Pairs are sorted by context, so each used context's pairs are one run:
     # the runs' starts are the column pointers of R in compressed-column form.
-    x_rank = np.searchsorted(counts.x_codes, counts.xy_codes[:, 0])
-    starts = np.flatnonzero(np.diff(x_rank, prepend=-1))
-    used = x_rank[starts]
-    y_codes, row = np.unique(counts.xy_codes[:, 1], return_inverse=True)
+    pair_x = counts.xy_codes[:, 0]
+    starts = np.flatnonzero(np.diff(pair_x, prepend=pair_x[0] - 1))
+    used = np.searchsorted(counts.x_codes, pair_x[starts])
+    size = counts.alphabet_size
+    y_codes, row, _ = _tally(counts.xy_codes[:, 1], int(size)**counts.l)
     raw = sparse.csc_array((counts.xy_counts.astype(float), row, np.append(starts, row.size)),
                            shape=(y_codes.size, used.size)).tocsr()
     x_raw = counts.x_counts[used].astype(float)
     totals = np.add.reduceat(counts.xy_counts, starts).astype(float)
     denom_counts = totals if policy == "stochastic" else x_raw
     marginal = x_raw / x_raw.sum()
-    size = counts.alphabet_size
     return ConditionalOperator(
         k=counts.k, l=counts.l, raw=raw, denom=denom_counts + lambda_smooth * y_codes.size,
         marginal=marginal, smoothing=lambda_smooth,
@@ -380,25 +390,77 @@ def read_token_stream(path: str | Path) -> TokenStream:
     return TokenStream._from_flat(tokens, lengths, alphabet_size)
 
 
-def write_token_stream(stream: TokenStream, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"#alphabet {stream.alphabet_size}\n")
-        for doc in stream.records:
-            fh.write(" ".join(map(str, doc.tolist())) + "\n")
+# A count table is formatted and parsed in blocks of at most ROW_BLOCK rows,
+# so the byte matrices and parsed fields of one block bound the temporaries.
+ROW_BLOCK = 2**14
+_PAD = 0  # fills a formatted cell beside its digits; never written
+_X_PREFIX = b"#x_count "
+_HEADER = re.compile(rb"#(k|l|min_count|min_y_count|alphabet)(?:[ \t]([^\n]*))?")
+_TO_COMMA = bytes.maketrans(b"\t\n", b",,")
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """ASCII digits of non-negative integers, one right-aligned row each, padded with _PAD."""
+    places = len(str(int(values.max()))) if values.size else 1
+    out = np.empty((values.size, places), dtype=np.uint8)
+    for p in range(places):
+        shifted = values // 10**p
+        out[:, -1 - p] = np.where((shifted > 0) | (p == 0), shifted % 10 + ord("0"), _PAD)
+    return out
+
+
+def _label_cells(codes: np.ndarray, width: int, alphabet_size: int) -> np.ndarray:
+    """Comma-joined token ids of each code, one row of ASCII each, padded with _PAD."""
+    comma = np.full((codes.size, 1), ord(","), dtype=np.uint8)
+    cells = []
+    for place in _places(alphabet_size, width).tolist():
+        cells += [_digits(codes // place % alphabet_size), comma]
+    return np.hstack(cells[:-1])
+
+
+def _format_rows(prefix: bytes, *cells: np.ndarray) -> np.ndarray:
+    """Text rows of the prefix, then the cells joined by tabs, then a newline."""
+    n = cells[0].shape[0]
+    tab, newline = (np.full((n, 1), char, dtype=np.uint8) for char in b"\t\n")
+    parts = [np.broadcast_to(np.frombuffer(prefix, dtype=np.uint8), (n, len(prefix)))]
+    for cell in cells:
+        parts += [cell, tab]
+    parts[-1] = newline
+    rows = np.hstack(parts)
+    return rows[rows != _PAD]
 
 
 def write_count_table(counts: CountTable, path: str | Path) -> None:
+    """Write ``counts.tsv``: header comments, one row per pair, one ``#x_count`` row per context.
+
+    Each distinct label is formatted once; the rows are laid out as one byte
+    matrix per block of ``ROW_BLOCK`` rows.
+    """
     k, l, size = counts.k, counts.l, counts.alphabet_size
-    lines = [f"#k {k}", f"#l {l}", f"#min_count {counts.min_count}",
-             f"#min_y_count {counts.min_y_count}", f"#alphabet {size}",
-             "#columns x_ids\ty_ids\tcount"]
-    lines += [f"{x}\t{y}\t{c}" for x, y, c in zip(_labels(counts.xy_codes[:, 0], k, size).tolist(),
-                                                   _labels(counts.xy_codes[:, 1], l, size).tolist(),
-                                                   counts.xy_counts.tolist())]
-    lines += [f"#x_count {x}\t{c}" for x, c in zip(_labels(counts.x_codes, k, size).tolist(),
-                                                   counts.x_counts.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = [f"#k {k}", f"#l {l}", f"#min_count {counts.min_count}",
+              f"#min_y_count {counts.min_y_count}", f"#alphabet {size}",
+              "#columns x_ids\ty_ids\tcount"]
+    x_labels = _label_cells(counts.x_codes, k, size)
+    x_rank = np.searchsorted(counts.x_codes, counts.xy_codes[:, 0])
+    y_codes, y_rank, _ = _tally(counts.xy_codes[:, 1], int(size)**l)
+    y_labels = _label_cells(y_codes, l, size)
+    with Path(path).open("wb") as fh:
+        fh.write("".join(f"{line}\n" for line in header).encode())
+        for start in range(0, x_rank.size, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            fh.write(_format_rows(b"", x_labels[x_rank[rows]], y_labels[y_rank[rows]],
+                                  _digits(counts.xy_counts[rows])))
+        for start in range(0, counts.x_codes.size, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            fh.write(_format_rows(_X_PREFIX, x_labels[rows], _digits(counts.x_counts[rows])))
+
+
+def _read_bytes(path: Path) -> bytes:
+    """The bytes of a UTF-8 file, with universal newlines."""
+    data = path.read_bytes()
+    if not data.isascii():
+        return _read_text(path).encode("utf-8")  # names the first byte that is not UTF-8
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _row(*widths: int) -> str:
@@ -407,56 +469,112 @@ def _row(*widths: int) -> str:
     return "\t".join(",".join([number] * width) for width in widths + (1,))
 
 
-def _row_codes(rows: list[str], widths: tuple[int, ...], alphabet_size: int):
-    """Window codes (one array per width) and counts of validated count rows."""
-    text = ",".join(rows).replace("\t", ",")
-    parsed = np.fromstring(text, dtype=np.int64, sep=",").reshape(len(rows), sum(widths) + 1)
-    outside = np.flatnonzero(np.any(parsed[:, :-1] >= alphabet_size, axis=1))
-    if outside.size:
-        raise CorpusError(f"token id outside alphabet of size {alphabet_size} "
-                          f"in row {rows[outside[0]]!r}")
-    bounds = np.cumsum((0,) + widths)
-    codes = [parsed[:, a:b] @ _places(alphabet_size, b - a) for a, b in zip(bounds, bounds[1:])]
-    return codes, parsed[:, -1]
+def _fields_fit(block: bytes) -> bool:
+    """Whether every number of a block of digits and separators has 1–18 digits.
+
+    A function of its own, so its position arrays are freed before the block
+    is parsed.
+    """
+    separators = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) < ord("0"))
+    gaps = np.diff(separators)  # one more than the digits between separators
+    return 1 <= separators[0] <= 18 and gaps.min() >= 2 and gaps.max() <= 19
+
+
+def _parse_rows(data: bytes, starts: np.ndarray, ends: np.ndarray, lines: np.ndarray,
+                prefix: bytes, widths: tuple[int, ...]) -> np.ndarray | None:
+    """The numbers of the given lines, one row each; None if a line is malformed.
+
+    Line i is ``data[starts[i]:ends[i]]`` and ends before a newline. A line is
+    well formed when it is ``prefix``, then comma-joined numbers per width,
+    then the count, joined by tabs, every number 1–18 ASCII digits. Runs of
+    consecutive lines are checked and parsed as whole blocks: deleting the
+    digits must leave the separator skeleton of every row, and the gaps
+    between separators must be 1–18 digits long.
+    """
+    fields = sum(widths) + 1
+    skeleton = prefix + "\t".join("," * (w - 1) for w in widths + (1,)).encode() + b"\n"
+    out = np.empty((lines.size, fields), dtype=np.int64)
+    breaks = np.flatnonzero(np.diff(lines) != 1) + 1
+    for run_start, run_stop in zip([0, *breaks.tolist()], [*breaks.tolist(), lines.size]):
+        for a in range(run_start, run_stop, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, run_stop)
+            block = data[starts[lines[a]] : ends[lines[b - 1]] + 1]
+            if block.translate(None, b"0123456789") != skeleton * (b - a):
+                return None
+            if prefix:  # as checked, it now occurs only at the start of each line
+                block = block.replace(prefix, b"")
+            if not _fields_fit(block):
+                return None
+            out[a:b] = np.fromstring(block.translate(_TO_COMMA), dtype=np.int64,
+                                     sep=",").reshape(b - a, fields)
+    return out
+
+
+def _malformed_row(path: Path, data: bytes, k: int, l: int) -> CorpusError:
+    """The error naming the first line of ``data`` that is neither blank, a comment nor a row."""
+    # With a newline added in front, line n follows the n-th newline.
+    lines = "\n" + data.decode("utf-8")
+    bad = re.search(rf"\n(?!\n|\Z|#(?!x_count )|(?:{_row(k, l)}|#x_count {_row(k)})\n)", lines)
+    where = f":{lines.count(chr(10), 0, bad.start()) + 1}" if bad else ""
+    return CorpusError(f"{path}{where}: malformed count row")
 
 
 def read_count_table(path: str | Path) -> CountTable:
-    path = Path(path)
-    # With a newline added at each end, every line follows a newline and ends
-    # before one: each pattern below starts with a literal newline, which the
-    # regex engine scans for quickly, and line n follows the n-th newline.
-    lines = f"\n{_read_text(path)}\n"
+    """The count table of a ``counts.tsv`` file, as ``write_count_table`` writes it.
 
-    def error(at: int, what: str) -> CorpusError:
-        lineno = lines.count("\n", 0, at) + 1
-        return CorpusError(f"{path}:{lineno}: {what}")
+    Blank lines and ``#`` comments pass, and the ``#k``, ``#l`` and
+    ``#alphabet`` headers are required. Every other line must be a pair row
+    or an ``#x_count`` row of the header's widths; the first one that is not
+    raises ``path:lineno: malformed count row``. Without ``#x_count`` rows,
+    each context's count is its pair total.
+    """
+    path = Path(path)
+    data = _read_bytes(path) + b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.append(0, ends[:-1] + 1)
+    first = buf[starts]  # a newline for a blank line
+    hashed = np.flatnonzero(first == ord("#"))
+    prefixed = ends[hashed] - starts[hashed] >= len(_X_PREFIX)
+    head = buf[starts[hashed[prefixed], None] + np.arange(len(_X_PREFIX))]
+    prefixed[prefixed] = np.all(head == np.frombuffer(_X_PREFIX, dtype=np.uint8), axis=1)
+    x_lines, comments = hashed[prefixed], hashed[~prefixed]
+    pair_lines = np.flatnonzero((first != ord("#")) & (first != ord("\n")))
 
     header = {"min_count": 1, "min_y_count": 1}
-    for match in re.finditer(r"\n#(k|l|min_count|min_y_count|alphabet)(?:[ \t]([^\n]*))?(?=\n)",
-                             lines):
-        try:
-            header[match[1]] = int(match[2])
-        except (TypeError, ValueError):
-            raise error(match.start(), f"malformed #{match[1]} header") from None
+    for line in comments.tolist():
+        match = _HEADER.fullmatch(data, starts[line], ends[line])
+        if match:
+            key = match[1].decode()
+            try:
+                header[key] = int((match[2] or b"").decode())
+            except ValueError:
+                raise CorpusError(f"{path}:{line + 1}: malformed #{key} header") from None
     missing = [f"#{key}" for key in ("k", "l", "alphabet") if key not in header]
     if missing:
         raise CorpusError(f"{path}: missing {', '.join(missing)} header")
     k, l, size = header["k"], header["l"], header["alphabet"]
     if min(k, l, size) < 1:
         raise CorpusError(f"{path}: k, l and the alphabet size must be >= 1")
-    pair_rows = re.findall(rf"\n({_row(k, l)})(?=\n)", lines)
-    x_rows = re.findall(rf"\n#x_count ({_row(k)})(?=\n)", lines)
-    # Blank lines and comments pass; every other line must be a well-formed row.
-    blank = len(re.findall(r"\n(?=\n)", lines))
-    comment = lines.count("\n#") - lines.count("\n#x_count ")
-    if len(pair_rows) + len(x_rows) + blank + comment != lines.count("\n") - 1:
-        bad = re.search(rf"\n(?!\n|\Z|#(?!x_count )|(?:{_row(k, l)}|#x_count {_row(k)})\n)",
-                        lines)
-        raise error(bad.start(), "malformed count row")
+    pair_rows = _parse_rows(data, starts, ends, pair_lines, b"", (k, l))
+    x_rows = _parse_rows(data, starts, ends, x_lines, _X_PREFIX, (k,))
+    if pair_rows is None or x_rows is None:
+        raise _malformed_row(path, data, k, l)
+
+    def row_codes(rows: np.ndarray, lines: np.ndarray, prefix: bytes, widths: tuple[int, ...]):
+        """Window codes (one array per width) and counts of parsed rows."""
+        if rows[:, :-1].max(initial=0) >= size:
+            line = lines[np.argmax(np.any(rows[:, :-1] >= size, axis=1))]
+            row = data[starts[line] + len(prefix) : ends[line]].decode()
+            raise CorpusError(f"token id outside alphabet of size {size} in row {row!r}")
+        bounds = np.cumsum((0,) + widths)
+        codes = [rows[:, a:b] @ _places(size, b - a) for a, b in zip(bounds, bounds[1:])]
+        return codes, rows[:, -1]
+
     try:
-        (pair_x, pair_y), xy_counts = _row_codes(pair_rows, (k, l), size)
-        (x_codes,), x_counts = _row_codes(x_rows, (k,), size)
-        if not x_rows:
+        (pair_x, pair_y), xy_counts = row_codes(pair_rows, pair_lines, b"", (k, l))
+        (x_codes,), x_counts = row_codes(x_rows, x_lines, _X_PREFIX, (k,))
+        if not x_lines.size:
             # tolerate tables written without per-context rows
             x_codes, inverse = np.unique(pair_x, return_inverse=True)
             x_counts = np.bincount(inverse, weights=xy_counts).astype(np.int64)

@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 
 from seqmodes._streams import keyed_generator
@@ -13,6 +15,15 @@ from seqmodes.distribution import (
 )
 
 CORPUS_TAG = 9000
+
+
+def write_token_stream(stream: TokenStream, path: str | Path) -> None:
+    """Write a corpus file: the ``#alphabet`` header, then one document a line."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(f"#alphabet {stream.alphabet_size}\n")
+        for doc in stream.records:
+            fh.write(" ".join(map(str, doc.tolist())) + "\n")
 
 
 def sample_bigram_corpus(lang: Language, n_docs: int, doc_len: int, seed: int) -> TokenStream:

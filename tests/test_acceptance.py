@@ -10,9 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from _fixtures import k3_language_with_balanced_front, sample_bigram_corpus
+from _fixtures import (
+    k3_language_with_balanced_front,
+    sample_bigram_corpus,
+    write_token_stream,
+)
 from seqmodes.cli import main as cli_main
-from seqmodes.corpus import write_token_stream
 from seqmodes.distribution import (
     Alphabet,
     check_language,

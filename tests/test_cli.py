@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _fixtures import sample_bigram_corpus
+from _fixtures import sample_bigram_corpus, write_token_stream
 from seqmodes import cli
 from seqmodes.cli import main
-from seqmodes.corpus import write_token_stream
 from seqmodes.distribution import (
     ConditionalOperator,
     conditional_operator,

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from _fixtures import sample_bigram_corpus
+from _fixtures import sample_bigram_corpus, write_token_stream
+from seqmodes import corpus
 from seqmodes.corpus import (
     CorpusError,
     CountTable,
@@ -19,7 +21,6 @@ from seqmodes.corpus import (
     read_token_stream,
     stream_ngram_counts,
     write_count_table,
-    write_token_stream,
 )
 from seqmodes.distribution import (
     DistributionError,
@@ -194,6 +195,52 @@ class TestStreamNgramCounts:
         hi = stream_ngram_counts(stream, 1, 1, min_count=cutoff + 1)
         assert set(as_dicts(hi)[1]) <= set(as_dicts(lo)[1])
 
+    @staticmethod
+    def spy_on_tally(monkeypatch):
+        """Record, for each tally, whether its code space took the bincount side."""
+        sides, tally = [], corpus._tally
+
+        def spy(codes, space):
+            sides.append(space <= codes.size)
+            return tally(codes, space)
+
+        monkeypatch.setattr(corpus, "_tally", spy)
+        return sides
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (2, 1), (1, 2)])
+    def test_bincount_side_matches_tuple_counting_oracle(self, monkeypatch, tmp_path, k, l):
+        stream = markov_stream(0, docs=20)  # |Σ|^w <= 400 < 3,960 windows
+        sides = self.spy_on_tally(monkeypatch)
+        table = stream_ngram_counts(stream, k, l, min_count=2, min_y_count=3)
+        assert sides == [True, True]
+        write_count_table(table, tmp_path / "counts.tsv")
+        docs = [doc.tolist() for doc in stream.records]
+        assert (tmp_path / "counts.tsv").read_text() == oracle_counts_tsv(docs, 20, k, l, 2, 3)
+
+    def test_sort_side_on_a_large_alphabet(self, monkeypatch, tmp_path):
+        rng = np.random.default_rng(5)
+        docs = [rng.integers(0, 10**6, size=int(n)).tolist() for n in rng.integers(1, 40, 30)]
+        docs += [docs[0][:5]] * 3  # repeats, so the filters keep something
+        stream = make_stream(*docs, alphabet_size=10**6)
+        sides = self.spy_on_tally(monkeypatch)
+        table = stream_ngram_counts(stream, 1, 2, min_count=2, min_y_count=2)
+        assert sides == [False, False] and table.xy_counts.size
+        write_count_table(table, tmp_path / "counts.tsv")
+        assert (tmp_path / "counts.tsv").read_text() == oracle_counts_tsv(docs, 10**6, 1, 2, 2, 2)
+
+    @pytest.mark.parametrize("k, l", [(1, 1), (2, 2), (3, 1)])
+    def test_both_sides_give_the_same_table(self, monkeypatch, k, l):
+        stream = markov_stream(2, docs=30)
+        tally, tables = corpus._tally, []
+        for space_of in (lambda codes: 0, lambda codes: codes.size + 1):  # bincount, sort
+            monkeypatch.setattr(corpus, "_tally",
+                                lambda codes, space: tally(codes, space_of(codes)))
+            tables.append(stream_ngram_counts(stream, k, l, min_count=3, min_y_count=4))
+        for name in ("x_codes", "x_counts", "xy_codes", "xy_counts"):
+            a, b = (getattr(table, name) for table in tables)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert tables[0].windows == tables[1].windows
+
     def test_alphabet_too_large_for_codes(self):
         # |Σ|^2 = 2^64 overflows int64 codes; nothing of that size is allocated
         stream = make_stream([0, 1, 2], alphabet_size=2**32)
@@ -211,6 +258,14 @@ class TestCountTable:
     def test_rejects_pair_without_context_count(self):
         with pytest.raises(CorpusError, match="context"):
             CountTable(1, 1, 3, [0], [1], [[0, 1], [2, 0]], [1, 1])
+
+    @pytest.mark.parametrize("x_codes, pair_x", [([1], [0, 1]), ([0, 2], [0, 1, 1, 2]),
+                                                  ([0], [0, 0, 2]), ([], [1])],
+                             ids=["below", "between", "above", "no_contexts"])
+    def test_rejects_context_outside_x_codes(self, x_codes, pair_x):
+        with pytest.raises(CorpusError, match="context"):
+            CountTable(1, 1, 3, x_codes, [1] * len(x_codes), [[x, y] for y, x in enumerate(pair_x)],
+                       [1] * len(pair_x))
 
     def test_total_windows_of_read_table_is_pair_total(self):
         table = from_dicts({((0,), (1,)): 2, ((1,), (0,)): 3})
@@ -551,3 +606,195 @@ class TestRoundTrips:
         write_count_table(table, p1)
         write_count_table(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the count-table writer and reader against the
+# row-at-a-time code they replaced (f-strings per row, one regex pass per row
+# kind), kept here as oracles.
+# ---------------------------------------------------------------------------
+
+def oracle_places(alphabet_size, width):
+    if int(alphabet_size) ** int(width) >= 2**63:
+        raise CorpusError(f"windows of {width} tokens over an alphabet of size {alphabet_size} "
+                          f"do not fit 64-bit codes (|Σ|^{width} >= 2^63)")
+    return np.array([alphabet_size**p for p in range(width - 1, -1, -1)], dtype=np.int64)
+
+
+def oracle_labels(codes, width, alphabet_size):
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    ids = (distinct[:, None] // oracle_places(alphabet_size, width) % alphabet_size).tolist()
+    names = np.array([",".join(map(str, row)) for row in ids], dtype=object)
+    return names[inverse]
+
+
+def oracle_write_count_table(counts, path):
+    k, l, size = counts.k, counts.l, counts.alphabet_size
+    lines = [f"#k {k}", f"#l {l}", f"#min_count {counts.min_count}",
+             f"#min_y_count {counts.min_y_count}", f"#alphabet {size}",
+             "#columns x_ids\ty_ids\tcount"]
+    lines += [f"{x}\t{y}\t{c}" for x, y, c in zip(
+        oracle_labels(counts.xy_codes[:, 0], k, size).tolist(),
+        oracle_labels(counts.xy_codes[:, 1], l, size).tolist(), counts.xy_counts.tolist())]
+    lines += [f"#x_count {x}\t{c}" for x, c in zip(oracle_labels(counts.x_codes, k, size).tolist(),
+                                                   counts.x_counts.tolist())]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_row(*widths):
+    number = "[0-9]{1,18}"
+    return "\t".join(",".join([number] * width) for width in widths + (1,))
+
+
+def oracle_row_codes(rows, widths, alphabet_size):
+    text = ",".join(rows).replace("\t", ",")
+    parsed = np.fromstring(text, dtype=np.int64, sep=",").reshape(len(rows), sum(widths) + 1)
+    outside = np.flatnonzero(np.any(parsed[:, :-1] >= alphabet_size, axis=1))
+    if outside.size:
+        raise CorpusError(f"token id outside alphabet of size {alphabet_size} "
+                          f"in row {rows[outside[0]]!r}")
+    bounds = np.cumsum((0,) + widths)
+    codes = [parsed[:, a:b] @ oracle_places(alphabet_size, b - a)
+             for a, b in zip(bounds, bounds[1:])]
+    return codes, parsed[:, -1]
+
+
+def oracle_read_count_table(path):
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    lines = f"\n{text}\n"
+
+    def error(at, what):
+        return CorpusError(f"{path}:{lines.count(chr(10), 0, at) + 1}: {what}")
+
+    header = {"min_count": 1, "min_y_count": 1}
+    for match in re.finditer(r"\n#(k|l|min_count|min_y_count|alphabet)(?:[ \t]([^\n]*))?(?=\n)",
+                             lines):
+        try:
+            header[match[1]] = int(match[2])
+        except (TypeError, ValueError):
+            raise error(match.start(), f"malformed #{match[1]} header") from None
+    missing = [f"#{key}" for key in ("k", "l", "alphabet") if key not in header]
+    if missing:
+        raise CorpusError(f"{path}: missing {', '.join(missing)} header")
+    k, l, size = header["k"], header["l"], header["alphabet"]
+    if min(k, l, size) < 1:
+        raise CorpusError(f"{path}: k, l and the alphabet size must be >= 1")
+    pair_rows = re.findall(rf"\n({oracle_row(k, l)})(?=\n)", lines)
+    x_rows = re.findall(rf"\n#x_count ({oracle_row(k)})(?=\n)", lines)
+    blank = len(re.findall(r"\n(?=\n)", lines))
+    comment = lines.count("\n#") - lines.count("\n#x_count ")
+    if len(pair_rows) + len(x_rows) + blank + comment != lines.count("\n") - 1:
+        bad = re.search(rf"\n(?!\n|\Z|#(?!x_count )|(?:{oracle_row(k, l)}|"
+                        rf"#x_count {oracle_row(k)})\n)", lines)
+        raise error(bad.start(), "malformed count row")
+    try:
+        (pair_x, pair_y), xy_counts = oracle_row_codes(pair_rows, (k, l), size)
+        (x_codes,), x_counts = oracle_row_codes(x_rows, (k,), size)
+        if not x_rows:
+            x_codes, inverse = np.unique(pair_x, return_inverse=True)
+            x_counts = np.bincount(inverse, weights=xy_counts).astype(np.int64)
+        pairs = np.lexsort((pair_y, pair_x))
+        contexts = np.argsort(x_codes)
+        return CountTable(
+            k, l, size, x_codes[contexts], x_counts[contexts],
+            np.column_stack([pair_x, pair_y])[pairs], xy_counts[pairs],
+            min_count=header["min_count"], min_y_count=header["min_y_count"],
+        )
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+
+
+MUTANT_BYTES = [b",", b"\t", b"\n", b"#", b"x", b" ", b"7", b"\xff"]
+SMALL_TABLES = {
+    "plain": (b"#k 2\n#l 1\n#min_count 2\n#alphabet 12\n#columns x_ids\ty_ids\tcount\n"
+              b"0,11\t3\t2\n0,11\t10\t7\n3,4\t5\t1\n#x_count 0,11\t13\n#x_count 3,4\t1\n"),
+    "interleaved_crlf": (b"#k 2\r\n#l 1\r\n\r\n#alphabet 12\r\n# a comment\r\n3,4\t5\t1\r\n"
+                         b"#x_count 3,4\t1\r\n\r\n0,11\t3\t2\r\n#x_count 0,11\t13\r\n#\r\n"
+                         b"0,11\t10\t7\r\n#x_count\t9\r\n"),
+}
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: the table's fields, or the error it raises."""
+    try:
+        table = reader(path)
+    except Exception as exc:  # the two readers must fail alike, whatever the failure
+        return type(exc).__name__, str(exc)
+    return (table.k, table.l, table.alphabet_size, table.min_count, table.min_y_count,
+            table.windows, *((getattr(table, name).dtype.str, getattr(table, name).tolist())
+                             for name in ("x_codes", "x_counts", "xy_codes", "xy_counts")))
+
+
+def random_table(rng, k, l, size, pairs=True):
+    """A valid table with random codes and counts that include 10^p and 10^18 − 1."""
+    x_codes = np.unique(rng.integers(0, size**k, size=int(rng.integers(1, 40))))
+    special = np.array([1, 9, 10, 100, 101, 1000, 10**17, 10**17 + 1, 10**18 - 1])
+
+    def counts(n):
+        drawn = rng.integers(1, 10 ** rng.integers(1, 19, size=n), dtype=np.int64)
+        return np.where(rng.random(n) < 0.3, rng.choice(special, size=n), drawn)
+
+    rows = []
+    if pairs:
+        for x in x_codes[rng.random(x_codes.size) < 0.7]:
+            ys = np.unique(rng.integers(0, size**l, size=int(rng.integers(1, 6))))
+            rows += [(x, y) for y in ys.tolist()]
+    xy = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    return CountTable(k, l, size, x_codes, counts(x_codes.size), xy, counts(len(rows)),
+                      min_count=int(rng.integers(1, 4)), min_y_count=int(rng.integers(1, 4)))
+
+
+class TestCountTableBytes:
+    @pytest.mark.parametrize("row_block", [corpus.ROW_BLOCK, 3])
+    @pytest.mark.parametrize("size", [1, 7, 100, 10**6])
+    @pytest.mark.parametrize("k, l", [(k, l) for k in (1, 2, 3) for l in (1, 2, 3)])
+    def test_writer_matches_f_string_oracle(self, monkeypatch, tmp_path, k, l, size, row_block):
+        monkeypatch.setattr(corpus, "ROW_BLOCK", row_block)
+        rng = np.random.default_rng([k, l, size])
+        for pairs in (True, True, False):
+            table = random_table(rng, k, l, size, pairs)
+            write_count_table(table, tmp_path / "new.tsv")
+            oracle_write_count_table(table, tmp_path / "old.tsv")
+            assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+            assert outcome(read_count_table, tmp_path / "new.tsv") == outcome(
+                oracle_read_count_table, tmp_path / "old.tsv")
+
+    @pytest.mark.parametrize("base, row_block", [("plain", corpus.ROW_BLOCK),
+                                                  ("interleaved_crlf", 2)])
+    def test_reader_matches_regex_oracle_under_every_byte_mutation(self, monkeypatch, tmp_path,
+                                                                   base, row_block):
+        monkeypatch.setattr(corpus, "ROW_BLOCK", row_block)
+        text = SMALL_TABLES[base]
+        mutants = [text]
+        for i in range(len(text)):
+            mutants += [text[:i] + text[i + 1:], text[:i + 1] + text[i:]]
+            mutants += [text[:i] + byte + text[i + 1:] for byte in MUTANT_BYTES]
+        self.assert_same_outcomes(tmp_path, mutants)
+
+    def test_reader_matches_regex_oracle_on_layouts(self, tmp_path):
+        text = SMALL_TABLES["plain"]
+        mutants = [SMALL_TABLES["interleaved_crlf"], text.replace(b"\n", b"\r"),
+                   text.replace(b"\n", b"\r\n"), text[:-1], text.replace(b"\n", b"\r\n")[:-2],
+                   text.replace(b"\t13\n", b"\t" + b"1" * 18 + b"\n"),
+                   text.replace(b"\t13\n", b"\t" + b"1" * 19 + b"\n"),
+                   text.replace(b"0,11\t", b"0" * 19 + b",11\t"),
+                   text.replace(b"0,11\t", b"0" * 18 + b",11\t"),
+                   text.replace(b"#columns", "# café  ".encode()),
+                   text.replace(b"3,4\t5", "3,4\t٥".encode()),
+                   text.replace(b"#alphabet 12", b"#alphabet 11"),
+                   text.replace(b"#x_count 3,4\t1\n", b""),
+                   b"".join(line for line in text.splitlines(True) if b"x_count" not in line),
+                   b"".join(line for line in text.splitlines(True) if line[:1] == b"#"),
+                   b"", b"\n", b"#k 1\n#l 1\n#alphabet 5\n"]
+        self.assert_same_outcomes(tmp_path, mutants)
+
+    @staticmethod
+    def assert_same_outcomes(tmp_path, mutants):
+        path = tmp_path / "counts.tsv"
+        for mutant in mutants:
+            path.write_bytes(mutant)
+            assert outcome(read_count_table, path) == outcome(oracle_read_count_table, path), mutant

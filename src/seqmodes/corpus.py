@@ -375,7 +375,7 @@ def read_token_stream(path: str | Path) -> TokenStream:
         raise CorpusError("empty corpus")
     body = "\n".join(lines)
     tokens = None
-    if not re.search(r"[^0-9 \t\n\v\f]", body):
+    if body.isascii() and not body.encode().translate(None, b"0123456789 \t\n\v\f"):
         tokens = np.fromstring(body, dtype=np.int64, sep=" ")
     if tokens is None or tokens.max() >= MAX_TOKEN:  # MAX_TOKEN also catches ids past int64
         for lineno, line in zip(linenos, lines):

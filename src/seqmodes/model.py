@@ -8,18 +8,18 @@ them.
 
 The same module carries the function-space view of a model (its matrix of
 log-probabilities), the insensitivity constants of a model to the difference
-between two distributions, population and empirical losses, dataset sampling,
-full-batch fitting, the exact Hessian-norm and gradient-norm constants M and
-Q, the entropy-rate threshold calculator, and composite models chained over a
-decomposition of K. Constants over a set of points are evaluated on the
-(P, dim) stack of them at once. Models, weights and datasets live in memory
-only: nothing here reads or writes files.
+between two distributions, population and empirical losses, datasets (each
+one count table of (x, y) pairs) and their sampling, full-batch fitting, the
+exact Hessian-norm and gradient-norm constants M and Q, the entropy-rate
+threshold calculator, and composite models chained over a decomposition of K.
+Constants over a set of points are evaluated on the (P, dim) stack of them at
+once. Models, weights and datasets live in memory only: nothing here reads or
+writes files.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,47 +231,32 @@ def grad_population_loss(model: SoftmaxModel, joint: np.ndarray, w: np.ndarray) 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """(x, y) pairs as flat index arrays, with a cached count matrix.
+    """A dataset of (x, y) pairs held as its read-only (n_y, n_x) int64 count table.
 
-    ``cells`` holds each pair's flat cell index y·n_x + x into the row-major
-    (n_y, n_x) count matrix, so counting subsets is one ``np.bincount``.
+    The empirical loss and every minibatch depend on the pairs only through
+    these counts, so the table is the whole dataset.
     """
 
-    x_idx: np.ndarray
-    y_idx: np.ndarray
-    n_x: int
-    n_y: int
-    cells: np.ndarray = field(init=False)
-    counts: np.ndarray = field(init=False)
+    counts: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x_idx, dtype=np.int64)
-        y = np.asarray(self.y_idx, dtype=np.int64)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ModelError("x_idx and y_idx must be 1-d arrays of equal length")
-        if x.size and (x.min() < 0 or x.max() >= self.n_x or y.min() < 0 or y.max() >= self.n_y):
-            raise ModelError("x_idx and y_idx must index into (n_x, n_y)")
-        object.__setattr__(self, "x_idx", x)
-        object.__setattr__(self, "y_idx", y)
-        object.__setattr__(self, "cells", y * self.n_x + x)
-        object.__setattr__(self, "counts", self.subset_counts(slice(None)))
+        table = np.asarray(self.counts)
+        if table.ndim != 2 or table.dtype.kind not in "biuf":
+            raise ModelError("counts must be a 2-d numeric table")
+        with np.errstate(invalid="ignore"):  # NaN and inf fail the equality below
+            counts = table.astype(np.int64)
+        if np.any(counts != table) or np.any(counts < 0):
+            raise ModelError("counts must be non-negative integers")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return self.x_idx.shape[0]
+        return int(self.counts.sum())
 
     def empirical_joint(self) -> np.ndarray:
         if len(self) == 0:
             raise ModelError("empty dataset")
         return self.counts / len(self)
-
-    def subset_counts(self, indices) -> np.ndarray:
-        """Count matrix of the pairs at ``indices``; (B, m) indices give B of them."""
-        cells = self.cells[indices]
-        if cells.ndim == 2:  # offset each row into a block of its own
-            cells = cells + self.n_y * self.n_x * np.arange(cells.shape[0])[:, None]
-        shape = cells.shape[:-1] + (self.n_y, self.n_x)
-        counts = np.bincount(cells.ravel(), minlength=math.prod(shape))
-        return counts.reshape(shape).astype(float)
 
 
 def empirical_loss(model: SoftmaxModel, dataset: Dataset, w: np.ndarray) -> float:
@@ -284,13 +269,11 @@ def empirical_loss(model: SoftmaxModel, dataset: Dataset, w: np.ndarray) -> floa
 def sample_dataset(joint: np.ndarray, n: int, seed: int) -> Dataset:
     """n i.i.d. draws from a joint q[y,x]; deterministic per seed."""
     joint = np.asarray(joint, dtype=float)
-    n_y, n_x = joint.shape
     flat = joint.ravel()
     flat = flat / flat.sum()
     rng = keyed_generator(seed, DATA_TAG)
     cells = rng.choice(flat.size, size=int(n), p=flat) if n else np.empty(0, dtype=np.int64)
-    y_idx, x_idx = np.unravel_index(cells.astype(np.int64), (n_y, n_x))
-    return Dataset(x_idx=x_idx, y_idx=y_idx, n_x=n_x, n_y=n_y)
+    return Dataset(np.bincount(cells, minlength=flat.size).reshape(joint.shape))
 
 
 # ---------------------------------------------------------------------------

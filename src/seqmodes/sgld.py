@@ -151,10 +151,10 @@ class SoftmaxTarget:
     def minibatches(self, rngs, m: int, size: int) -> np.ndarray:
         """(size, len(rngs), n_y, n_x) minibatch joints, ``size`` from each generator.
 
-        A joint is the count table of m uniform draws, over m. Both samplers
-        are exact and read only the count table, so a permuted dataset draws
-        the same joints. Multinomial(m, N/n) costs about one binomial per cell
-        and the index draw one integer per minibatch point; the former wins
+        A joint is the count table of m uniform draws, over m, so both
+        samplers draw from Multinomial(m, N/n) for the dataset's count table N:
+        one binomial per cell, or m indices into N's cells laid out in cell
+        order, counted, at one integer per minibatch point. The former wins
         while the table has at most about m/10 cells (the crossover measured
         at m = 256, 1024 and 4096).
         """
@@ -164,8 +164,7 @@ class SoftmaxTarget:
         else:  # each joint counted in a block of its own
             if self._sorted_cells is None:
                 # the dataset's flat cells in cell order: a function of the count table alone
-                self._sorted_cells = np.repeat(np.arange(self.cells),
-                                               self._counts.ravel().astype(np.int64))
+                self._sorted_cells = np.repeat(np.arange(self.cells), self._counts.ravel())
             idx = np.stack([rng.integers(0, self.n, (size, m)) for rng in rngs], axis=1)
             blocks = np.arange(size * len(rngs)).reshape(size, len(rngs), 1)
             counts = np.bincount((self._sorted_cells[idx] + self.cells * blocks).ravel(),
@@ -261,13 +260,13 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     centres). All rows share T, n and m. Row c takes its step-t noise and
     minibatch joint from row (t − 1) % STEP_BLOCK of the draws keyed by
     (seed_c, tag, (t − 1) // STEP_BLOCK); rows with equal seeds draw the noise
-    once, rows with equal seeds and targets the minibatches. A block is drawn
-    in sequential chunks of about ``DRAW_ENTRIES`` numbers, which give the
-    same bits as one draw. Each step evaluates one batched gradient per
-    distinct target, except that rows whose targets share a ``model`` take one
-    call on the (rows, n_y, n_x) stack of their full-data or minibatch joints.
-    Full-data losses are evaluated per distinct target after the loop, in
-    blocks of at most ``LOSS_BLOCK`` states, and L_n(w*) at each row's centre.
+    once. A block is drawn in sequential chunks of about ``DRAW_ENTRIES``
+    numbers, which give the same bits as one draw. Each step evaluates one
+    batched gradient per distinct target, except that rows whose targets share
+    a ``model`` take one call on the (rows, n_y, n_x) stack of their full-data
+    or minibatch joints. Full-data losses are evaluated per distinct target
+    after the loop, in blocks of at most ``LOSS_BLOCK`` states, and L_n(w*) at
+    each row's centre.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -293,19 +292,14 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     by_target: dict[int, tuple[object, list[int]]] = {}
     for c, target in enumerate(targets):
         by_target.setdefault(id(target), (target, []))[1].append(c)
-    # per distinct target: (target, its rows, the seeds it draws minibatches
-    # for, each row's among them); one seed a row in row order takes a view
-    streams = []
-    for target, members in by_target.values():
-        batch_seeds, pick = np.unique(seeds[seed_of_row[members]], return_inverse=True)
-        if np.array_equal(pick, np.arange(len(members))):
-            pick = slice(None)
-        streams.append((target, members, batch_seeds if m < n else [], pick))
+    # per distinct target: (target, its rows, their minibatch seeds; none at full batch)
+    streams = [(target, members, [configs[c].seed for c in members] if m < n else [])
+               for target, members in by_target.values()]
     # per gradient call: (a target, its rows, the streams it stacks with the
     # positions of their rows in it, the full-data stack); None stacks mean one
     # target, whose coefficients are its own; contiguous rows take a view
     by_model: dict[int, list[int]] = {}
-    for i, (target, _, _, _) in enumerate(streams):
+    for i, (target, _, _) in enumerate(streams):
         by_model.setdefault(id(getattr(target, "model", target)), []).append(i)
     calls = []
     for shared in by_model.values():
@@ -315,7 +309,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         contiguous = members[-1] + 1 - members[0] == len(members)
         own = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         calls.append((streams[shared[0]][0], own, parts, full))
-    width = rows * d + sum(len(bs) * (m + target.cells) for target, _, bs, _ in streams if len(bs))
+    width = rows * d + sum(len(bs) * (m + target.cells) for target, _, bs in streams if bs)
     if m < n:
         width += sum(full.size for _, _, _, full in calls if full is not None)
     chunk_steps = max(1, min(STEP_BLOCK, DRAW_ENTRIES // width))
@@ -327,16 +321,15 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         block = (start - 1) // STEP_BLOCK
         noise = [keyed_generator(seed, NOISE_TAG, block) for seed in seeds]
         batch = [[keyed_generator(seed, BATCH_TAG, block) for seed in bs]
-                 for _, _, bs, _ in streams]
+                 for _, _, bs in streams]
         for t0 in range(start, min(start + STEP_BLOCK, T), chunk_steps):
             k = min(chunk_steps, start + STEP_BLOCK - t0, T - t0)
             for rng, out in zip(noise, draws):
                 rng.standard_normal(out=out[:k])
             np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None], out=eta[:, :k])
             drawn = []  # per stream: (k, its rows, n_y, n_x) joints, or None
-            for (target, _, _, pick), rngs in zip(streams, batch):
-                joints = target.minibatches(rngs, m, k) if rngs else None
-                drawn.append(None if joints is None else joints[:, pick])
+            for (target, _, _), rngs in zip(streams, batch):
+                drawn.append(target.minibatches(rngs, m, k) if rngs else None)
             coeffs = []  # per call: its step-by-step coefficients, or None for its own
             for _, _, parts, full in calls:
                 if full is None:
@@ -364,7 +357,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
 
     losses = np.empty((rows, T))
     reference = np.empty(rows)
-    for target, members, _, _ in streams:
+    for target, members, _ in streams:
         count = len(members)
         block = max(1, LOSS_BLOCK // count)
         for t0 in range(0, T, block):

@@ -12,7 +12,7 @@ from seqmodes.distribution import (
 )
 from seqmodes import sgld
 from seqmodes.cli import _sgld_config_from
-from seqmodes.model import Dataset, SoftmaxModel, empirical_loss, fit_model, sample_dataset
+from seqmodes.model import SoftmaxModel, empirical_loss, fit_model, sample_dataset
 from seqmodes.modes import weighted_svd
 from seqmodes.sgld import (
     ChainDivergedError,
@@ -139,23 +139,6 @@ class TestRunChain:
         with np.errstate(over="ignore"):
             with pytest.raises(ChainDivergedError):
                 run_chain(Explosive(), np.zeros(1), cfg)
-
-    def test_relabeling_with_matched_schedule(self):
-        # the chain reads its dataset only through the count table, so a
-        # permuted dataset gives the identical chain under either sampler
-        lang = random_language(3, Alphabet(2), 2)
-        joint = conditional_operator(lang, 1, 1).joint()
-        model = SoftmaxModel(k=1, l=1, alphabet_size=2)
-        ds = sample_dataset(joint, 200, seed=4)
-        fit = fit_model(model, ds)
-        perm = np.random.default_rng(0).permutation(200)
-        permuted = Dataset(x_idx=ds.x_idx[perm], y_idx=ds.y_idx[perm], n_x=2, n_y=2)
-        for m in (40, 8):  # 4 cells: the multinomial sampler, then the index one
-            cfg = SGLDConfig(n=200, beta=0.05, gamma=2.0, m=m, T=300, epsilon=1e-3, seed=9)
-            trace = run_chain(SoftmaxTarget(model, ds), fit.w, cfg)
-            trace2 = run_chain(SoftmaxTarget(model, permuted), fit.w, cfg)
-            np.testing.assert_array_equal(trace.states, trace2.states)
-            np.testing.assert_array_equal(trace.losses, trace2.losses)
 
 
 def naive_chain(model, dataset, w_star, cfg):

@@ -323,7 +323,7 @@ def cmd_llc(config: dict, out: Path) -> str:
 
 def _trace_rows(trace, deltas=None, g_series=None) -> list[str]:
     """The lines of a trace CSV: one per state, with the coupled columns if ``deltas``."""
-    dist = trace.distances_to_center()
+    dist = trace.distances
     epsilon = trace.config.epsilon
     header = "t,epsilon,loss,distance_to_center"
     if deltas is not None:

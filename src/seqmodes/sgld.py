@@ -20,11 +20,12 @@ streams keyed by (seed_c, tag, block), one block per ``STEP_BLOCK`` steps, so
 each row is reproducible on its own and two rows configured with the same
 seed share their randomness by construction. Rows whose targets share a model
 take one gradient call per step, on the stack of their rows' joints, however
-many datasets they hold. Coupled chains are two rows that share a seed and a
-centre, each following the loss of its own dataset; :func:`coupled_bound_trials`
-runs the pairs of many seeds as the rows of one engine call. Full-data losses,
-and the reference loss L_n(w*), are evaluated after the loop, so the LLC
-estimate λ̂ = nβ·(mean L_n(w_t) − L_n(w*)) reads the trace alone.
+many datasets they hold. Each chunk of steps is reduced as it runs, to
+full-data losses, distances to w*, gaps to the first row of the same seed and
+a sparse trail of states, so the LLC estimate λ̂ = nβ·(mean L_n(w_t) −
+L_n(w*)) reads the trace alone and no array grows with T·d. Coupled chains
+are two rows that share a seed and a centre, each on its own dataset;
+:func:`coupled_bound_trials` runs the pairs of many seeds in one engine call.
 
 Also here: the trajectory-divergence bound g(t, A), one function over an
 array of steps, with its hyperparameter window; the estimator-difference
@@ -37,7 +38,7 @@ validate both bounds against measured insensitivity constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,9 +119,9 @@ class SGLDConfig:
 # ---------------------------------------------------------------------------
 # Sampling targets: anything with a dataset size, a dimension, batched
 # full-data losses and gradients over a (B, dim) stack of states, and a
-# sampler of minibatch joints with ``cells`` entries each; optionally the
-# ``model`` whose gradient on given coefficients is the target's, with the
-# full-data coefficients in ``joint``.
+# sampler of minibatch joints with the numbers one draw holds (``draw_entries``);
+# optionally the ``model`` whose gradient on given coefficients is the
+# target's, with the full-data coefficients in ``joint``.
 # ---------------------------------------------------------------------------
 
 class SoftmaxTarget:
@@ -171,6 +172,10 @@ class SoftmaxTarget:
                                  minlength=blocks.size * self.cells)
         return counts.reshape((size, len(rngs)) + self.joint.shape) / m
 
+    def draw_entries(self, m: int) -> int:
+        """Numbers one minibatch draw holds: its table, and m indices on the index sampler."""
+        return self.cells if 10 * self.cells <= m else self.cells + m
+
 
 class QuadraticTarget:
     """L(w) = ½ Σ h_i w_i², with exact gradients; n is nominal."""
@@ -179,7 +184,6 @@ class QuadraticTarget:
         self.curvature = np.asarray(curvature, dtype=float)
         self.n = int(n)
         self.dim = self.curvature.shape[0]
-        self.cells = 0
 
     def loss(self, W: np.ndarray) -> np.ndarray:
         return 0.5 * np.sum(self.curvature * np.asarray(W) ** 2, axis=-1)
@@ -190,6 +194,9 @@ class QuadraticTarget:
     def minibatches(self, rngs, m: int, size: int) -> None:
         """Exact gradients: nothing to draw."""
         return None
+
+    def draw_entries(self, m: int) -> int:
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +222,20 @@ def sgld_step(
 
 @dataclass(eq=False)
 class ChainTrace:
-    """States w_1..w_T with recorded full-data losses, the chain's centre w* and L_n(w*).
+    """A chain reduced as it ran, with its centre w* and L_n(w*) (``reference_loss``).
 
-    The first state is the initial point; step t (1-based) produced state t
-    from row (t − 1) % STEP_BLOCK of the noise and minibatch draws keyed by
-    (config.seed, tag, (t − 1) // STEP_BLOCK), so the whole trace is
-    reproducible from (config, dataset, centre, initial point).
+    Index 0 is the initial point; step t (1-based) produced index t from row
+    (t − 1) % STEP_BLOCK of the draws keyed by (config.seed, tag,
+    (t − 1) // STEP_BLOCK). ``losses`` and ``distances`` hold L_n(w_t) and
+    ‖w_t − w*‖ at every index, ``deltas`` ‖w'_t − w_t‖ for the first row w'
+    of the engine call with this seed (None on that row), and ``states``
+    every max(1, T // 64)-th state from index 0.
     """
 
-    states: np.ndarray
     losses: np.ndarray
+    distances: np.ndarray
+    states: np.ndarray
+    deltas: np.ndarray | None
     config: SGLDConfig
     w_star: np.ndarray
     reference_loss: float
@@ -232,15 +243,10 @@ class ChainTrace:
 
     @property
     def T(self) -> int:
-        return self.states.shape[0]
-
-    def distances_to_center(self) -> np.ndarray:
-        return np.linalg.norm(self.states - self.w_star[None, :], axis=1)
+        return len(self.losses)
 
 
-LOSS_BLOCK = 1024  # states per batched loss evaluation after the loop
-DRAW_ENTRIES = 1 << 16  # numbers a chunk holds: d a row, m + cells a minibatch stream
-STATE_ENTRIES = 1 << 22  # chain-state numbers one coupled engine call holds: 2·T·d a seed
+CHUNK_ENTRIES = 1 << 20  # numbers a chunk of steps holds: its noise, minibatch draws and states
 
 
 def _per_row(values: list[float]):
@@ -260,13 +266,13 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     centres). All rows share T, n and m. Row c takes its step-t noise and
     minibatch joint from row (t − 1) % STEP_BLOCK of the draws keyed by
     (seed_c, tag, (t − 1) // STEP_BLOCK); rows with equal seeds draw the noise
-    once. A block is drawn in sequential chunks of about ``DRAW_ENTRIES``
-    numbers, which give the same bits as one draw. Each step evaluates one
-    batched gradient per distinct target, except that rows whose targets share
-    a ``model`` take one call on the (rows, n_y, n_x) stack of their full-data
-    or minibatch joints. Full-data losses are evaluated per distinct target
-    after the loop, in blocks of at most ``LOSS_BLOCK`` states, and L_n(w*) at
-    each row's centre.
+    once. Each step evaluates one batched gradient per distinct target, except
+    that rows whose targets share a ``model`` take one call on the (rows, n_y,
+    n_x) stack of their full-data or minibatch joints. Steps run in chunks
+    whose noise, draws and states hold about ``CHUNK_ENTRIES`` numbers (draws
+    made chunk by chunk give the bits of one draw); each chunk is reduced to
+    the trace (see :class:`ChainTrace`) before the next runs, with one loss
+    call per distinct target, and the norm-cap count skips the initial point.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -282,13 +288,13 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     if w_star.shape not in ((d,), (rows, d)):
         raise SGLDError(f"w_star must be one centre or one a row, got shape {w_star.shape}")
     centers = np.broadcast_to(w_star, (rows, d))
-    states = np.empty((rows, T, d))
-    states[:, 0] = centers if init is None else np.asarray(init, dtype=float)
+    w = np.array(np.broadcast_to(centers if init is None else init, (rows, d)), dtype=float)
 
     sqrt_eps = np.sqrt([[config.epsilon] for config in configs])
     eps, n_beta, gamma = (_per_row([getattr(config, name) for config in configs])
                           for name in ("epsilon", "n_beta", "gamma"))
-    seeds, seed_of_row = np.unique([config.seed for config in configs], return_inverse=True)
+    seeds, first_row, seed_of_row = np.unique([config.seed for config in configs],
+                                              return_index=True, return_inverse=True)
     by_target: dict[int, tuple[object, list[int]]] = {}
     for c, target in enumerate(targets):
         by_target.setdefault(id(target), (target, []))[1].append(c)
@@ -309,71 +315,90 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         contiguous = members[-1] + 1 - members[0] == len(members)
         own = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
         calls.append((streams[shared[0]][0], own, parts, full))
-    width = rows * d + sum(len(bs) * (m + target.cells) for target, _, bs in streams if bs)
+    width = (seeds.size + 2 * rows) * d  # a step's noise, its scaled rows and its states
+    width += sum(len(bs) * target.draw_entries(m) for target, _, bs in streams if bs)
     if m < n:
         width += sum(full.size for _, _, _, full in calls if full is not None)
-    chunk_steps = max(1, min(STEP_BLOCK, DRAW_ENTRIES // width))
+    chunk_steps = max(1, min(STEP_BLOCK, CHUNK_ENTRIES // width))
 
-    w = states[:, 0].copy()
-    grad = np.empty((rows, d))
-    draws, eta = np.empty((seeds.size, chunk_steps, d)), np.empty((rows, chunk_steps, d))
-    for start in range(1, T, STEP_BLOCK):
-        block = (start - 1) // STEP_BLOCK
-        noise = [keyed_generator(seed, NOISE_TAG, block) for seed in seeds]
-        batch = [[keyed_generator(seed, BATCH_TAG, block) for seed in bs]
-                 for _, _, bs in streams]
-        for t0 in range(start, min(start + STEP_BLOCK, T), chunk_steps):
-            k = min(chunk_steps, start + STEP_BLOCK - t0, T - t0)
-            for rng, out in zip(noise, draws):
-                rng.standard_normal(out=out[:k])
-            np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None], out=eta[:, :k])
-            drawn = []  # per stream: (k, its rows, n_y, n_x) joints, or None
-            for (target, _, _), rngs in zip(streams, batch):
-                drawn.append(target.minibatches(rngs, m, k) if rngs else None)
-            coeffs = []  # per call: its step-by-step coefficients, or None for its own
-            for _, _, parts, full in calls:
-                if full is None:
-                    coeffs.append(drawn[parts[0][0]])
-                elif m == n:
-                    coeffs.append(np.broadcast_to(full, (k,) + full.shape))
-                else:
-                    stack = np.empty((k,) + full.shape)
-                    for i, positions in parts:
-                        stack[:, positions] = drawn[i]
-                    coeffs.append(stack)
-            # a non-finite state raises after the chunk, so the steps past it run quietly
-            with np.errstate(over="ignore", invalid="ignore"):
+    stride = max(1, T // 64)
+    partner = first_row[seed_of_row]  # each row's first row of its seed
+    paired = np.flatnonzero(partner != np.arange(rows))  # the rows that record deltas
+    caps = np.array([[np.inf if config.weight_norm_cap is None else config.weight_norm_cap]
+                     for config in configs])
+    losses, distances, deltas = np.empty((rows, T)), np.empty((rows, T)), np.empty((rows, T))
+    trail = np.empty((rows, len(range(0, T, stride)), d))
+    violations = np.zeros(rows, dtype=int)
+
+    def record(t0: int, chunk: np.ndarray) -> None:
+        """Reduce the (rows, k, d) states of indices t0..t0 + k − 1."""
+        k = chunk.shape[1]
+        for target, members, _ in streams:
+            flat = chunk[members].reshape(-1, d)
+            losses[members, t0:t0 + k] = target.loss(flat).reshape(len(members), k)
+        offsets = chunk - centers[:, None]
+        distances[:, t0:t0 + k] = np.linalg.norm(offsets, axis=2)
+        if t0 > 0:  # the norm cap skips the initial point
+            norms = row_norms(offsets.reshape(-1, d)).reshape(rows, k)
+            violations[:] += np.count_nonzero(norms > caps, axis=1)
+        if paired.size:
+            gaps = chunk[partner[paired]] - chunk[paired]
+            deltas[paired, t0:t0 + k] = row_norms(gaps.reshape(-1, d)).reshape(-1, k)
+        head = -(-t0 // stride) * stride  # the first trail index in the chunk
+        trail[:, head // stride:(t0 + k + stride - 1) // stride] = chunk[:, head - t0::stride]
+
+    grad, draws = np.empty((rows, d)), np.empty((seeds.size, chunk_steps, d))
+    eta, chunk = np.empty((2, rows, chunk_steps, d))  # each row's scaled noise, and its states
+    # a non-finite state raises after its chunk: until then steps and reductions run quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, w[:, None])
+        for start in range(1, T, STEP_BLOCK):
+            block = (start - 1) // STEP_BLOCK
+            noise = [keyed_generator(seed, NOISE_TAG, block) for seed in seeds]
+            batch = [[keyed_generator(seed, BATCH_TAG, block) for seed in bs]
+                     for _, _, bs in streams]
+            for t0 in range(start, min(start + STEP_BLOCK, T), chunk_steps):
+                k = min(chunk_steps, start + STEP_BLOCK - t0, T - t0)
+                for rng, out in zip(noise, draws):
+                    rng.standard_normal(out=out[:k])
+                np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None], out=eta[:, :k])
+                drawn = []  # per stream: (k, its rows, n_y, n_x) joints, or None
+                for (target, _, _), rngs in zip(streams, batch):
+                    drawn.append(target.minibatches(rngs, m, k) if rngs else None)
+                coeffs = []  # per call: its step-by-step coefficients, or None for its own
+                for _, _, parts, full in calls:
+                    if full is None:
+                        coeffs.append(drawn[parts[0][0]])
+                    elif m == n:
+                        coeffs.append(np.broadcast_to(full, (k,) + full.shape))
+                    else:
+                        stack = np.empty((k,) + full.shape)
+                        for i, positions in parts:
+                            stack[:, positions] = drawn[i]
+                        coeffs.append(stack)
+                before = w
                 for j in range(k):
                     for (target, own, _, _), coeff in zip(calls, coeffs):
                         grad[own] = target.grad(w[own], None if coeff is None else coeff[j])
                     w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta[:, j])
-                    states[:, t0 + j] = w
-            finite = np.isfinite(states[:, t0:t0 + k]).all(axis=2)  # (rows, k)
-            if not finite.all():  # the first non-finite step, and its first row
-                j = int(np.flatnonzero(~finite.all(axis=0))[0])
-                c, t = int(np.flatnonzero(~finite[:, j])[0]), t0 + j
-                raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
-                                         {"step": t, "row": c}, states[c, t - 1].copy())
+                    chunk[:, j] = w
+                finite = np.isfinite(chunk[:, :k]).all(axis=2)  # (rows, k)
+                if not finite.all():  # the first non-finite step, and its first row
+                    j = int(np.flatnonzero(~finite.all(axis=0))[0])
+                    c, t = int(np.flatnonzero(~finite[:, j])[0]), t0 + j
+                    last = chunk[c, j - 1] if j else before[c]
+                    raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
+                                             {"step": t, "row": c}, last.copy())
+                record(t0, chunk[:, :k])
 
-    losses = np.empty((rows, T))
     reference = np.empty(rows)
     for target, members, _ in streams:
-        count = len(members)
-        block = max(1, LOSS_BLOCK // count)
-        for t0 in range(0, T, block):
-            chunk = states[members, t0:t0 + block]
-            losses[members, t0:t0 + block] = target.loss(chunk.reshape(-1, d)).reshape(count, -1)
         reference[members] = target.loss(centers[members])
-    traces = []
-    for c, config in enumerate(configs):
-        violations = 0
-        if config.weight_norm_cap is not None:
-            violations = int(np.count_nonzero(
-                row_norms(states[c, 1:] - centers[c]) > config.weight_norm_cap))
-        traces.append(ChainTrace(states=states[c], losses=losses[c], config=config,
-                                 w_star=centers[c], reference_loss=float(reference[c]),
-                                 norm_cap_violations=violations))
-    return traces
+    return [ChainTrace(losses=losses[c], distances=distances[c], states=trail[c],
+                       deltas=deltas[c] if partner[c] != c else None, config=config,
+                       w_star=centers[c], reference_loss=float(reference[c]),
+                       norm_cap_violations=int(violations[c]))
+            for c, config in enumerate(configs)]
 
 
 def run_chain(target, w_star: np.ndarray, config: SGLDConfig,
@@ -413,11 +438,10 @@ def llc_estimate(trace: ChainTrace) -> LLCEstimate:
 class CoupledChains:
     trace_true: ChainTrace
     trace_truncated: ChainTrace
-    # ‖w_t − w̃_t‖ for t = 1..T (index 0 is the shared start)
-    deltas: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.deltas = row_norms(self.trace_true.states - self.trace_truncated.states)
+    @property
+    def deltas(self) -> np.ndarray:  # ‖w_t − w̃_t‖ for t = 1..T (index 0 is the shared start)
+        return self.trace_truncated.deltas
 
 
 def run_coupled_chains(target_true, target_truncated, w_star: np.ndarray,
@@ -620,49 +644,33 @@ def coupled_bound_trials(
 
     Seed s draws its true and truncated datasets, fits w* on the true one and
     couples a chain on each, both localized at w* and seeded by s (``config``
-    with burn-in 0). Consecutive seeds form groups whose states, 2·T·d numbers
-    a seed, fit in ``STATE_ENTRIES`` (at least one seed a group); one
-    :func:`run_chains` call advances every pair of a group, and each seed's
-    constants pass then runs on its own traces (see
-    :func:`coupled_bound_trial`). A group's results are yielded before the
-    next group runs, so a consumer that keeps only summaries holds the states
-    of at most two groups at a time, whatever the number of seeds.
+    with burn-in 0). One :func:`run_chains` call advances every seed's pair,
+    then each seed's constants pass runs on its own traces (see
+    :func:`coupled_bound_trial`).
 
-    If a chain diverges, no further result is yielded, but every group's
-    chains still run: :class:`ChainDivergedError` reports the earliest
-    non-finite step over all seeds (the earlier seed in ``seeds`` on a tie),
-    its ``seed`` and its ``chain``, "true" or "truncated".
+    If a chain diverges, no result is yielded: :class:`ChainDivergedError`
+    reports the earliest non-finite step over all seeds (the earlier seed in
+    ``seeds`` on a tie), its ``seed`` and its ``chain``, "true" or "truncated".
     """
     seeds = [int(seed) for seed in seeds]
-    group_size = max(1, STATE_ENTRIES // (2 * config.T * model.dim))
-    failure = None  # (step, position in seeds, row in its pair, last finite state)
-    for start in range(0, len(seeds), group_size):
-        group = seeds[start:start + group_size]
-        targets, centers, configs = [], [], []
-        for seed in group:
-            dataset_true = sample_dataset(joint_true, config.n, seed=seed)
-            dataset_trunc = sample_dataset(joint_truncated, config.n, seed=seed + 1_000_003)
-            targets += [SoftmaxTarget(model, dataset_true), SoftmaxTarget(model, dataset_trunc)]
-            centers += [fit_model(model, dataset_true).w] * 2
-            configs += [replace(config, seed=seed, burn_in=0.0)] * 2
-        try:
-            traces = run_chains(targets, np.array(centers), configs)
-        except ChainDivergedError as exc:
-            row = exc.diagnostics["row"]
-            found = (exc.diagnostics["step"], start + row // 2, row % 2, exc.last_state)
-            failure = found if failure is None or found[:2] < failure[:2] else failure
-            continue
-        if failure is None:
-            for i, seed in enumerate(group):
-                yield _measured_trial(model, targets[2 * i].joint, targets[2 * i + 1].joint,
-                                      CoupledChains(*traces[2 * i:2 * i + 2]), seed)
-        del traces  # before the next group's states exist
-    if failure is not None:
-        step, position, row, last_state = failure
-        seed, chain = seeds[position], ("true", "truncated")[row]
+    targets, centers, configs = [], [], []
+    for seed in seeds:
+        dataset_true = sample_dataset(joint_true, config.n, seed=seed)
+        dataset_trunc = sample_dataset(joint_truncated, config.n, seed=seed + 1_000_003)
+        targets += [SoftmaxTarget(model, dataset_true), SoftmaxTarget(model, dataset_trunc)]
+        centers += [fit_model(model, dataset_true).w] * 2
+        configs += [replace(config, seed=seed, burn_in=0.0)] * 2
+    try:
+        traces = run_chains(targets, np.array(centers), configs)
+    except ChainDivergedError as exc:
+        step, row = exc.diagnostics["step"], exc.diagnostics["row"]
+        seed, chain = seeds[row // 2], ("true", "truncated")[row % 2]
         raise ChainDivergedError(
             f"non-finite state in the {chain} chain of seed {seed} at step {step}",
-            {"step": step, "seed": seed, "chain": chain}, last_state)
+            {"step": step, "seed": seed, "chain": chain}, exc.last_state) from None
+    for i, seed in enumerate(seeds):
+        yield _measured_trial(model, targets[2 * i].joint, targets[2 * i + 1].joint,
+                              CoupledChains(*traces[2 * i:2 * i + 2]), seed)
 
 
 def coupled_bound_trial(
@@ -691,29 +699,19 @@ def _measured_trial(model: SoftmaxModel, q_true: np.ndarray, q_truncated: np.nda
     whose datasets have the empirical joints ``q_true`` and ``q_truncated``."""
     run_config = coupled.trace_true.config
     w_star = coupled.trace_true.w_star
-    excursion = max(
-        coupled.trace_true.distances_to_center().max(),
-        coupled.trace_truncated.distances_to_center().max(),
-        1e-6,
-    )
+    excursion = max(coupled.trace_true.distances.max(),
+                    coupled.trace_truncated.distances.max(), 1e-6)
     radius = REGION_SCALE * float(excursion)
     rng = keyed_generator(seed, REGION_TAG)
     ball = _ball_sample(rng, w_star, radius, REGION_POINTS)
-    stride = max(1, run_config.T // 64)
-    trail = np.vstack([
-        coupled.trace_true.states[::stride],
-        coupled.trace_truncated.states[::stride],
-    ])
-    points = np.vstack([w_star[None, :], ball, trail])
+    points = np.vstack([w_star[None, :], ball, coupled.trace_true.states,
+                        coupled.trace_truncated.states])
 
     report = insensitivity_report(model, q_true, q_truncated, points)
     lip = lipschitz_estimates(model, q_true, points)
 
     window_ok, window_text = run_config.window_check(lip.M)
-    g_series = None
-    delta_ok = False
-    est_bound = None
-    llc_ok = False
+    g_series, delta_ok, est_bound, llc_ok = None, False, None, False
     est_true = llc_estimate(coupled.trace_true)
     est_trunc = llc_estimate(coupled.trace_truncated)
     diff = abs(est_true.lambda_hat - est_trunc.lambda_hat)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -107,8 +108,7 @@ class TestRunChain:
         start = np.array([4.0])
         trace = run_chain(target, np.zeros(1), cfg, init=start)
         # contraction factor 0.5 per step; stationary scale sqrt(eps/(1-0.25))
-        tail = np.abs(trace.states[100:, 0])
-        assert tail.max() < 0.2
+        assert trace.distances[0] == 4.0 and trace.distances[100:].max() < 0.2
 
     def test_mean_loss_above_center_loss(self):
         target = self.quadratic(n=1000)
@@ -139,6 +139,13 @@ class TestRunChain:
         with np.errstate(over="ignore"):
             with pytest.raises(ChainDivergedError):
                 run_chain(Explosive(), np.zeros(1), cfg)
+
+
+def assert_naive_trace(trace, states, losses, w_star):
+    """A trace holds the naive loop's losses and distances and its states at the stride."""
+    np.testing.assert_array_equal(trace.states, states[::max(1, len(states) // 64)])
+    np.testing.assert_array_equal(trace.losses, losses)
+    np.testing.assert_array_equal(trace.distances, np.linalg.norm(states - w_star, axis=1))
 
 
 def naive_chain(model, dataset, w_star, cfg):
@@ -188,9 +195,8 @@ class TestRunChains:
         traces = run_chains([SoftmaxTarget(model, dataset)] * rows, w_star, configs)
         assert len(traces) == rows
         for trace, cfg in zip(traces, configs):
-            states, losses = naive_chain(model, dataset, w_star, cfg)
-            np.testing.assert_array_equal(trace.states, states)
-            np.testing.assert_array_equal(trace.losses, losses)
+            assert_naive_trace(trace, *naive_chain(model, dataset, w_star, cfg), w_star)
+            assert trace.deltas is None  # no row shares its seed
 
     def test_row_alone_beside_others_and_as_prefix(self):
         # a row's states do not depend on the rows beside it, nor on T: a
@@ -203,21 +209,31 @@ class TestRunChains:
                            [cfg, replace(cfg, seed=6), cfg, replace(cfg, seed=7)])
         alone = run_chain(target_a, w_star, cfg)
         prefix = run_chain(target_a, w_star, replace(cfg, T=STEP_BLOCK + 45))
-        np.testing.assert_array_equal(mixed[2].states, alone.states)
-        np.testing.assert_array_equal(prefix.states, alone.states[:STEP_BLOCK + 45])
-        np.testing.assert_array_equal(mixed[0].states, run_chain(target_b, w_star, cfg).states)
+        states, losses = naive_chain(model, ds_a, w_star, cfg)
+        for trace in (mixed[2], alone):
+            assert_naive_trace(trace, states, losses, w_star)
+        assert_naive_trace(prefix, states[:STEP_BLOCK + 45], losses[:STEP_BLOCK + 45], w_star)
+        assert_naive_trace(mixed[0], *naive_chain(model, ds_b, w_star, cfg), w_star)
 
     @pytest.mark.parametrize("m", [32, 96])
     def test_draw_chunks_do_not_change_states(self, monkeypatch, m):
-        model, dataset, w_star = self.setup("low_rank")
-        targets = [SoftmaxTarget(model, dataset)] * 3
+        # row 2 shares row 0's seed on another dataset, so it records deltas;
+        # the trail's stride of 9 crosses chunk boundaries
+        model, ds_a, w_star = self.setup("low_rank")
+        ds_b = sample_dataset(ds_a.empirical_joint(), 300, seed=9)
+        target = SoftmaxTarget(model, ds_a)
+        targets = [target, target, SoftmaxTarget(model, ds_b)]
         configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=600, epsilon=1e-3,
-                              seed=c) for c in (1, 2, 1)]
+                              seed=c, weight_norm_cap=0.5) for c in (1, 2, 1)]
         whole = run_chains(targets, w_star, configs)
-        for entries in (1, 700):  # chunks of one step, and of 5 (m = 32) or 2 (m = 96)
-            monkeypatch.setattr(sgld, "DRAW_ENTRIES", entries)
+        assert whole[2].deltas[1:].min() > 0
+        assert all(0 < trace.norm_cap_violations < 599 for trace in whole)
+        for entries in (1, 1000):  # chunks of one step, and of 4 (m = 32) or 6 (m = 96)
+            monkeypatch.setattr(sgld, "CHUNK_ENTRIES", entries)
             for a, b in zip(whole, run_chains(targets, w_star, configs)):
-                np.testing.assert_array_equal(a.states, b.states)
+                for name in ("losses", "distances", "states", "deltas"):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+                assert a.norm_cap_violations == b.norm_cap_violations
 
     @pytest.mark.parametrize("m", [89, 90])  # index and multinomial samplers on 9 cells
     def test_sampler_moments(self, m):
@@ -236,17 +252,6 @@ class TestRunChains:
         cov_se = np.sqrt((np.outer(var, var) + sigma**2) / draws)
         assert np.all(np.abs(np.cov(counts, rowvar=False) - sigma) <= 5 * cov_se)
 
-    def test_loss_blocks_do_not_change_losses(self, monkeypatch):
-        model, dataset, w_star = self.setup("full_table")
-        configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=32, T=50, epsilon=1e-3,
-                              seed=c) for c in range(3)]
-        target = SoftmaxTarget(model, dataset)
-        whole = run_chains([target] * 3, w_star, configs)
-        monkeypatch.setattr(sgld, "LOSS_BLOCK", 7)
-        blocked = run_chains([target] * 3, w_star, configs)
-        for a, b in zip(whole, blocked):
-            np.testing.assert_array_equal(a.losses, b.losses)
-
     def test_shared_seed_rows_reproduce_coupled_deltas(self):
         model, ds_a, w_star = self.setup("full_table")
         ds_b = sample_dataset(ds_a.empirical_joint(), 300, seed=9)
@@ -256,7 +261,8 @@ class TestRunChains:
         coupled = run_coupled_chains(SoftmaxTarget(model, ds_a), SoftmaxTarget(model, ds_b), w_star, cfg)
         deltas = np.array([np.linalg.norm(a - b) for a, b in zip(row_a.states, row_b.states)])
         np.testing.assert_array_equal(coupled.deltas, deltas)
-        assert deltas[0] == 0.0 and deltas[1:].max() > 0
+        np.testing.assert_array_equal(row_b.deltas, deltas)
+        assert row_a.deltas is None and deltas[0] == 0.0 and deltas[1:].max() > 0
         for row, dataset in ((row_a, ds_a), (row_b, ds_b)):
             np.testing.assert_array_equal(row.states, naive_chain(model, dataset, w_star, cfg)[0])
 
@@ -311,8 +317,8 @@ class TestRunChains:
         together = run_chains(targets, centres, configs, init)
         for c, trace in enumerate(together):
             alone = run_chain(targets[c], centres[c], configs[c], init[c])
-            np.testing.assert_array_equal(trace.states, alone.states)
-            np.testing.assert_array_equal(trace.losses, alone.losses)
+            for name in ("states", "losses", "distances"):
+                np.testing.assert_array_equal(getattr(trace, name), getattr(alone, name))
             np.testing.assert_array_equal(trace.w_star, centres[c])
             assert trace.reference_loss == alone.reference_loss
             assert trace.norm_cap_violations == alone.norm_cap_violations > 0
@@ -332,6 +338,20 @@ class TestRunChains:
                                   seed=s) for s in range(5)]
             run_chains(targets, w_star, configs)
             assert calls == [4] * 39
+
+    def test_memory_does_not_grow_with_T(self):
+        # a trace keeps per-step scalars and a trail of at most 128 states, so
+        # 3,000 more steps of two d = 1000 rows add ~0.1 MB, not their states' 48 MB
+        target = QuadraticTarget(np.ones(1000), n=10)
+        peaks = []
+        for T in (1000, 4000):
+            configs = [SGLDConfig(n=10, beta=0.1, gamma=1.0, m=10, T=T, epsilon=1e-3, seed=s)
+                       for s in (0, 1)]
+            tracemalloc.start()
+            run_chains([target] * 2, np.zeros(1000), configs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1 << 20
 
     def test_centres_must_match_rows(self):
         target = QuadraticTarget(np.array([1.0, 2.0]), n=10)
@@ -517,9 +537,8 @@ def assert_same_trial(a, b):
     assert a.to_summary() == b.to_summary() and a.window_text == b.window_text
     for trace_a, trace_b in ((a.coupled.trace_true, b.coupled.trace_true),
                              (a.coupled.trace_truncated, b.coupled.trace_truncated)):
-        np.testing.assert_array_equal(trace_a.states, trace_b.states)
-        np.testing.assert_array_equal(trace_a.losses, trace_b.losses)
-        np.testing.assert_array_equal(trace_a.w_star, trace_b.w_star)
+        for name in ("states", "losses", "distances", "w_star"):
+            np.testing.assert_array_equal(getattr(trace_a, name), getattr(trace_b, name))
     np.testing.assert_array_equal(a.deltas, b.deltas)
     np.testing.assert_array_equal(a.g_series, b.g_series)
 
@@ -549,15 +568,6 @@ class TestCoupledTrial:
                 alone = run_chain(SoftmaxTarget(model, dataset), w_star, run_cfg)
                 np.testing.assert_array_equal(trace.states, alone.states)
                 np.testing.assert_array_equal(trace.losses, alone.losses)
-
-    def test_seed_groups_do_not_change_results(self, monkeypatch):
-        model, q_true, q_trunc = self.setup()
-        cfg = SGLDConfig(n=4000, beta=10.0 / 4000, gamma=2.5, m=500, T=120, epsilon=1e-3)
-        whole = list(coupled_bound_trials(model, q_true, q_trunc, cfg, range(5)))
-        for seeds_a_group in (1, 2):  # groups of 1 seed, and of 2, 2 and 1
-            monkeypatch.setattr(sgld, "STATE_ENTRIES", seeds_a_group * 2 * 120 * model.dim)
-            for a, b in zip(whole, coupled_bound_trials(model, q_true, q_trunc, cfg, range(5))):
-                assert_same_trial(a, b)
 
     def test_trial_structure(self):
         lang = random_doubly_stochastic_language(7, 3)

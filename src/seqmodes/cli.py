@@ -249,10 +249,12 @@ def cmd_truncate(config: dict, out: Path) -> str:
         provenance = dict(eff.provenance)
         header = [f"#{key} {value}" for key, value in sorted(provenance.items())]
         column, table = "probability", eff.conditional
+    y_labels = [_label(y) for y in dec.y_labels]
     write_lines(out / "effective.tsv", [
         f"#k {dec.k}", f"#l {dec.l}", *header, f"#columns y_ids\tx_ids\t{column}",
-        *(f"{_label(y)}\t{_label(x)}\t{table[yi, xi]:.17g}"
-          for xi, x in enumerate(dec.x_labels) for yi, y in enumerate(dec.y_labels)),
+        *(f"{y}\t{x}\t{value:.17g}"
+          for x, values in zip(map(_label, dec.x_labels), table.T.tolist())
+          for y, value in zip(y_labels, values)),
     ])
     write_json(out / "truncation_provenance.json", provenance)
     return "effective.tsv"
@@ -323,19 +325,17 @@ def cmd_llc(config: dict, out: Path) -> str:
 
 def _trace_rows(trace, deltas=None, g_series=None) -> list[str]:
     """The lines of a trace CSV: one per state, with the coupled columns if ``deltas``."""
-    dist = trace.distances
-    epsilon = trace.config.epsilon
-    header = "t,epsilon,loss,distance_to_center"
-    if deltas is not None:
-        header += ",delta,g_bound"
-    rows = [header]
-    for t in range(trace.T):
-        row = f"{t + 1},{epsilon:.17g},{trace.losses[t]:.17g},{dist[t]:.17g}"
-        if deltas is not None:
-            g = g_series[t] if g_series is not None else float("nan")
-            row += f",{deltas[t]:.17g},{g:.17g}"
-        rows.append(row)
-    return rows
+    epsilon = f"{trace.config.epsilon:.17g}"
+    columns = zip(trace.losses.tolist(), trace.distances.tolist())
+    if deltas is None:
+        return ["t,epsilon,loss,distance_to_center",
+                *(f"{t},{epsilon},{loss:.17g},{dist:.17g}"
+                  for t, (loss, dist) in enumerate(columns, 1))]
+    coupled = zip(columns, deltas.tolist(),
+                  [math.nan] * trace.T if g_series is None else g_series.tolist())
+    return ["t,epsilon,loss,distance_to_center,delta,g_bound",
+            *(f"{t},{epsilon},{loss:.17g},{dist:.17g},{delta:.17g},{g:.17g}"
+              for t, ((loss, dist), delta, g) in enumerate(coupled, 1))]
 
 
 def cmd_couple(config: dict, out: Path) -> str:

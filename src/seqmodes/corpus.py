@@ -26,7 +26,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .distribution import ConditionalOperator
 from .modes import ModeDecomposition
@@ -244,6 +243,8 @@ def build_conditional_matrix(
     used = np.searchsorted(counts.x_codes, pair_x[starts])
     size = counts.alphabet_size
     y_codes, row, _ = _tally(counts.xy_codes[:, 1], int(size)**counts.l)
+    from scipy import sparse
+
     raw = sparse.csc_array((counts.xy_counts.astype(float), row, np.append(starts, row.size)),
                            shape=(y_codes.size, used.size)).tocsr()
     x_raw = counts.x_counts[used].astype(float)

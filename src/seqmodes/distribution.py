@@ -12,13 +12,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from ._streams import LANGUAGE_TAG, keyed_generator
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 JOINT_ATOL = 1e-12
 DENSE_CELLS = 1 << 27  # cells a dense conditional matrix may hold (1 GiB of float64)
@@ -151,6 +155,12 @@ def _frozen(values) -> np.ndarray:
     return values
 
 
+def _is_sparse(a) -> bool:
+    """True for a scipy sparse array, which can exist only once scipy.sparse is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionalOperator:
     """Matrix of q(y|x): rows indexed by y ∈ Σ^l, columns by x ∈ Σ^k.
@@ -179,8 +189,11 @@ class ConditionalOperator:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        raw = (sparse.csr_array(self.raw, dtype=float) if sparse.issparse(self.raw)
-               else _frozen(self.raw))
+        if _is_sparse(self.raw):
+            from scipy import sparse
+            raw = sparse.csr_array(self.raw, dtype=float)
+        else:
+            raw = _frozen(self.raw)
         denom, marginal = _frozen(self.denom), _frozen(self.marginal)
         if raw.shape != (self.n_y, self.n_x):
             raise DistributionError("matrix shape does not match labels")
@@ -213,7 +226,7 @@ class ConditionalOperator:
                 f"a dense {self.n_y}×{self.n_x} operator would need "
                 f"{cells * 8 / 2**30:.3g} GiB, above the budget of {DENSE_CELLS} cells; "
                 "`decompose --rank` finds the leading modes without it")
-        dense = self.raw.toarray() if sparse.issparse(self.raw) else np.array(self.raw)
+        dense = self.raw.toarray() if _is_sparse(self.raw) else np.array(self.raw)
         dense += self.smoothing
         dense /= self.denom[None, :]
         dense.setflags(write=False)

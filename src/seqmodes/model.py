@@ -210,14 +210,23 @@ def insensitivity_report(
 # Losses and datasets.
 # ---------------------------------------------------------------------------
 
-def population_losses(model: SoftmaxModel, joint: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """L(w_b) = −Σ_{x,y} q(x,y) log p(y|x,w_b) for each row of a (B, dim) stack."""
+def joint_losses(joint: np.ndarray, log_conditionals: np.ndarray) -> np.ndarray:
+    """−Σ_{x,y} q(x,y) log p(y|x) for each (n_y, n_x) matrix of a (..., n_y, n_x) stack.
+
+    The sum runs over the support of q; a loss whose terms there are not all
+    finite is inf.
+    """
     joint = np.asarray(joint, dtype=float)
     support = joint > 0
-    logp = np.ascontiguousarray(model.log_conditionals(W)[:, support])  # (B, |support|)
-    losses = -np.sum(joint[support] * logp, axis=1)
-    losses[~np.all(np.isfinite(logp), axis=1)] = np.inf
+    logp = np.ascontiguousarray(log_conditionals[..., support])  # (..., |support|)
+    losses = -np.sum(joint[support] * logp, axis=-1)
+    losses[~np.all(np.isfinite(logp), axis=-1)] = np.inf
     return losses
+
+
+def population_losses(model: SoftmaxModel, joint: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """L(w_b) = −Σ_{x,y} q(x,y) log p(y|x,w_b) for each row of a (B, dim) stack."""
+    return joint_losses(joint, model.log_conditionals(W))
 
 
 def population_loss(model: SoftmaxModel, joint: np.ndarray, w: np.ndarray) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, svds
 
 from .distribution import ConditionalOperator
 
@@ -179,6 +178,8 @@ def truncated_weighted_svd(op: ConditionalOperator, rank: int = 100) -> ModeDeco
         dec = weighted_svd(op)
         return replace(dec, singular_values=dec.singular_values[:r], n_plus=min(r, dec.n_plus),
                        left_vectors=dec.left_vectors[:, :r], right_vectors=dec.right_vectors[:, :r])
+    from scipy.sparse.linalg import LinearOperator, svds
+
     raw, raw_t, lam = op.raw, op.raw.T, op.smoothing
     scale = np.sqrt(op.marginal) / op.denom
 

@@ -48,6 +48,7 @@ from .model import (
     SoftmaxModel,
     fit_model,
     insensitivity_report,
+    joint_losses,
     lipschitz_estimates,
     population_losses,
     row_norms,
@@ -121,7 +122,8 @@ class SGLDConfig:
 # full-data losses and gradients over a (B, dim) stack of states, and a
 # sampler of minibatch joints with the numbers one draw holds (``draw_entries``);
 # optionally the ``model`` whose gradient on given coefficients is the
-# target's, with the full-data coefficients in ``joint``.
+# target's, with the full-data coefficients in ``joint`` (the loss is then
+# ``joint_losses(joint, model.log_conditionals(W))``).
 # ---------------------------------------------------------------------------
 
 class SoftmaxTarget:
@@ -271,8 +273,10 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     n_x) stack of their full-data or minibatch joints. Steps run in chunks
     whose noise, draws and states hold about ``CHUNK_ENTRIES`` numbers (draws
     made chunk by chunk give the bits of one draw); each chunk is reduced to
-    the trace (see :class:`ChainTrace`) before the next runs, with one loss
-    call per distinct target, and the norm-cap count skips the initial point.
+    the trace (see :class:`ChainTrace`) before the next runs. Losses take one
+    call per distinct target, except that rows whose targets share a
+    ``model`` take one ``log_conditionals`` call, reduced over each target's
+    own joint; the norm-cap count skips the initial point.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -301,7 +305,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     # per distinct target: (target, its rows, their minibatch seeds; none at full batch)
     streams = [(target, members, [configs[c].seed for c in members] if m < n else [])
                for target, members in by_target.values()]
-    # per gradient call: (a target, its rows, the streams it stacks with the
+    # per gradient and loss call: (a target, its rows, the streams it stacks with the
     # positions of their rows in it, the full-data stack); None stacks mean one
     # target, whose coefficients are its own; contiguous rows take a view
     by_model: dict[int, list[int]] = {}
@@ -330,12 +334,27 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     trail = np.empty((rows, len(range(0, T, stride)), d))
     violations = np.zeros(rows, dtype=int)
 
+    def row_losses(states: np.ndarray) -> np.ndarray:
+        """L_n(w) of each row's target at its (rows, k, d) states, as (rows, k)."""
+        k = states.shape[1]
+        out = np.empty((rows, k))
+        for target, own, parts, full in calls:
+            if full is None:  # one target
+                members = streams[parts[0][0]][1]
+                flat = states[members].reshape(-1, d)
+                out[members] = target.loss(flat).reshape(len(members), k)
+                continue
+            logp = target.model.log_conditionals(states[own].reshape(-1, d))
+            logp = logp.reshape((-1, k) + logp.shape[1:])  # (rows of the model, k, n_y, n_x)
+            for i, positions in parts:
+                source, members, _ = streams[i]
+                out[members] = joint_losses(source.joint, logp[positions])
+        return out
+
     def record(t0: int, chunk: np.ndarray) -> None:
         """Reduce the (rows, k, d) states of indices t0..t0 + k − 1."""
         k = chunk.shape[1]
-        for target, members, _ in streams:
-            flat = chunk[members].reshape(-1, d)
-            losses[members, t0:t0 + k] = target.loss(flat).reshape(len(members), k)
+        losses[:, t0:t0 + k] = row_losses(chunk)
         offsets = chunk - centers[:, None]
         distances[:, t0:t0 + k] = np.linalg.norm(offsets, axis=2)
         if t0 > 0:  # the norm cap skips the initial point
@@ -391,9 +410,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
                                              {"step": t, "row": c}, last.copy())
                 record(t0, chunk[:, :k])
 
-    reference = np.empty(rows)
-    for target, members, _ in streams:
-        reference[members] = target.loss(centers[members])
+    reference = row_losses(centers[:, None])[:, 0]
     return [ChainTrace(losses=losses[c], distances=distances[c], states=trail[c],
                        deltas=deltas[c] if partner[c] != c else None, config=config,
                        w_star=centers[c], reference_loss=float(reference[c]),

@@ -861,11 +861,59 @@ class TestPipelineDeterminism:
             assert run1[name] == run2[name], name
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """The last line that ``python -c code args`` prints, run on this source tree."""
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return out.stdout.strip().splitlines()[-1]
+
+
+# runs main() on the arguments, then prints its exit code and the scipy modules loaded
+_RUN_CLI = ("import json, sys; from seqmodes.cli import main; code = main(sys.argv[1:]); "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "print(json.dumps([code, loaded]))")
+
+
 class TestImportFootprint:
     def test_cli_does_not_import_scipy_optimize(self):
         # Importing scipy.optimize takes ~0.25 s, which every CLI start would pay.
-        src = Path(cli.__file__).resolve().parents[1]
         code = "import sys, seqmodes.cli; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
-        assert out.stdout.strip() == "False"
+        assert _fresh_python(code) == "False"
+
+    def test_import_loads_neither_sparse_nor_linalg(self):
+        # scipy.sparse and scipy.linalg are about 0.15 s and 25 MiB of a start-up
+        code = ("import sys, seqmodes, seqmodes.cli; "
+                "print([m for m in ('scipy.sparse', 'scipy.linalg') if m in sys.modules])")
+        assert _fresh_python(code) == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--corpus", "CORPUS", "--k", "1", "--l", "1"],
+        ["truncate", "--language", "LANG", "--k", "1", "--l", "1", "--chi", "1"],
+        ["truncate", "--language", "LANG", "--k", "1", "--l", "1", "--chi", "1",
+         "--solver", "normalized"],
+        ["decompose", "--language", "LANG", "--k", "1", "--l", "1"],
+        ["llc", "--language", "LANG", "--k", "1", "--l", "1", "--n", "500", "--m", "50",
+         "--chains", "2", "--T", "40"],
+        ["couple", "--language", "LANG", "--k", "1", "--l", "1", "--chi", "1", "--n", "2000",
+         "--T", "40"],
+        ["bounds", "--A", "1", "--B", "0.01", "--Q", "5", "--M", "20", "--n", "1000",
+         "--beta", "0.01", "--gamma", "300", "--epsilon", "1e-4", "--T", "20"],
+    ], ids=["ingest", "truncate-kl", "truncate-normalized", "decompose-dense", "llc", "couple",
+            "bounds"])
+    def test_numpy_commands_load_no_scipy(self, argv, fixture_corpus, fixture_language,
+                                          tmp_path):
+        paths = {"CORPUS": str(fixture_corpus), "LANG": str(fixture_language)}
+        argv = [paths.get(arg, arg) for arg in argv]
+        code, loaded = json.loads(_fresh_python(_RUN_CLI, *argv, "--out", str(tmp_path / "o")))
+        assert code == 0
+        assert loaded == []
+
+    def test_truncated_svd_loads_sparse_linalg(self, tmp_path):
+        # rank 3 of 12 takes the svds path, whose import is deferred to the call
+        path = tmp_path / "language.json"
+        path.write_text(language_to_json(random_doubly_stochastic_language(5, 12)))
+        argv = ["decompose", "--language", str(path), "--k", "1", "--l", "1", "--rank", "3"]
+        code, loaded = json.loads(_fresh_python(_RUN_CLI, *argv, "--out", str(tmp_path / "d")))
+        assert code == 0
+        assert "scipy.sparse.linalg" in loaded

@@ -339,6 +339,29 @@ class TestRunChains:
             run_chains(targets, w_star, configs)
             assert calls == [4] * 39
 
+    def test_one_loss_call_per_chunk_per_model(self, monkeypatch):
+        # four targets on one model: the initial point, the one 39-step chunk
+        # and the centres each take one log_conditionals call on all four rows,
+        # reduced per target to the bits of that target's own loss
+        model, ds_a, w_star = self.setup("low_rank")
+        datasets = [sample_dataset(ds_a.empirical_joint(), 300, seed=s) for s in range(4)]
+        targets = [SoftmaxTarget(model, ds) for ds in datasets]
+        targets.append(QuadraticTarget(np.ones(model.dim), n=300))
+        calls = []
+        kernel = SoftmaxModel.log_conditionals
+        monkeypatch.setattr(SoftmaxModel, "log_conditionals",
+                            lambda self, W: calls.append(len(W)) or kernel(self, W))
+        configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=300, T=40, epsilon=1e-3,
+                              seed=s) for s in range(5)]
+        traces = run_chains(targets, w_star, configs)
+        # the initial point, 39 gradients, the chunk's 39 states a row, the centres
+        assert calls == [4] + [4] * 39 + [4 * 39, 4]
+        monkeypatch.setattr(SoftmaxModel, "log_conditionals", kernel)
+        for target, trace in zip(targets, traces):
+            assert len(trace.states) == trace.T  # a stride of 1 keeps every state
+            np.testing.assert_array_equal(trace.losses, target.loss(trace.states))
+            assert trace.reference_loss == target.loss(w_star[None])[0]
+
     def test_memory_does_not_grow_with_T(self):
         # a trace keeps per-step scalars and a trail of at most 128 states, so
         # 3,000 more steps of two d = 1000 rows add ~0.1 MB, not their states' 48 MB

@@ -50,14 +50,8 @@ class SoftmaxModel:
         if self.parametrization == "low_rank":
             if self.rank is None or self.rank < 1:
                 raise ModelError("low_rank requires a positive rank")
-
-    @property
-    def n_x(self) -> int:
-        return self.alphabet_size**self.k
-
-    @property
-    def n_y(self) -> int:
-        return self.alphabet_size**self.l
+        object.__setattr__(self, "n_x", self.alphabet_size**self.k)  # contexts, set once
+        object.__setattr__(self, "n_y", self.alphabet_size**self.l)  # continuations
 
     @property
     def dim(self) -> int:
@@ -81,18 +75,6 @@ class SoftmaxModel:
             raise ModelError("weights must be finite")
         return w
 
-    def _logits(self, W: np.ndarray) -> np.ndarray:
-        """Logit stack Z[b, x, y]."""
-        count = W.shape[0]
-        if self.parametrization == "full_table":
-            if self.pinned:
-                z = np.zeros((count, self.n_x, self.n_y))
-                z[:, :, :-1] = W.reshape(count, self.n_x, self.n_y - 1)
-                return z
-            return W.reshape(count, self.n_x, self.n_y)
-        a, b = self._factors(W)
-        return b @ a.transpose(0, 2, 1)
-
     def _factors(self, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r, count = self.rank, W.shape[0]
         a = W[:, : self.n_y * r].reshape(count, self.n_y, r)
@@ -101,10 +83,19 @@ class SoftmaxModel:
 
     def log_conditionals(self, W: np.ndarray) -> np.ndarray:
         """log p(y|x, w_b) for each row of a (B, dim) stack, as (B, n_y, n_x)."""
-        z = self._logits(W)
-        z = z - z.max(axis=2, keepdims=True)
-        logz = np.log(np.exp(z).sum(axis=2, keepdims=True))
-        return (z - logz).transpose(0, 2, 1)
+        count = W.shape[0]
+        if self.parametrization == "low_rank":
+            a, b = self._factors(W)
+            z = b @ a.transpose(0, 2, 1)  # the logits z[b, x, y]
+        elif self.pinned:
+            z = np.zeros((count, self.n_x, self.n_y))
+            z[:, :, :-1] = W.reshape(count, self.n_x, self.n_y - 1)
+        else:
+            z = W.reshape(count, self.n_x, self.n_y)
+        z = z - np.maximum.reduce(z, axis=2, keepdims=True)
+        sums = np.add.reduce(np.exp(z), axis=2, keepdims=True)
+        z -= np.log(sums, out=sums)
+        return z.transpose(0, 2, 1)
 
     def weighted_grads(self, W: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """Σ_{x,y} c_b(x,y) ∇_w log p(y|x,w_b) for each row of a (B, dim) stack.
@@ -112,18 +103,24 @@ class SoftmaxModel:
         ``coeff`` is one matrix c[y,x] shared by every row or a (B, n_y, n_x)
         stack of them.
         """
-        p = np.exp(self.log_conditionals(W)).transpose(0, 2, 1)  # (B, n_x, n_y)
-        c = np.swapaxes(np.asarray(coeff, dtype=float), -1, -2)  # (..., n_x, n_y)
-        m = c - p * c.sum(axis=-1, keepdims=True)
-        count = W.shape[0]
-        if self.parametrization == "full_table":
-            if self.pinned:
-                return m[:, :, :-1].reshape(count, -1)
-            return m.reshape(count, -1)
-        a, b = self._factors(W)
-        da = m.transpose(0, 2, 1) @ b  # (B, n_y, r)
-        db = m @ a  # (B, n_x, r)
-        return np.concatenate([da.reshape(count, -1), db.reshape(count, -1)], axis=1)
+        return self.grads_into(W, *grad_coefficients(coeff), np.empty(W.shape))
+
+    def grads_into(self, W: np.ndarray, c: np.ndarray, sums: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+        """:meth:`weighted_grads` into the (B, dim) ``out`` (rows each contiguous): the one
+        softmax-gradient kernel, on coefficients a caller forms by :func:`grad_coefficients`."""
+        m = self.log_conditionals(W).transpose(0, 2, 1)  # a fresh (B, n_x, n_y) array
+        np.exp(m, out=m)
+        np.multiply(m, sums, out=m)
+        np.subtract(c, m, out=m)  # c − p·Σ_y c, the gradient in the logits
+        if self.parametrization == "low_rank":
+            a, b = self._factors(W)
+            np.matmul(m.transpose(0, 2, 1), b, out=out[:, :a[0].size].reshape(a.shape))
+            np.matmul(m, a, out=out[:, a[0].size:].reshape(b.shape))
+        else:  # a pinned table's weights hold all logits of a context but its last
+            free = m[..., :-1] if self.pinned else m
+            out.reshape(free.shape)[...] = free
+        return out
 
     def log_conditional_matrix(self, w: np.ndarray) -> np.ndarray:
         """log p(y|x, w) as an (n_y, n_x) array."""
@@ -132,6 +129,15 @@ class SoftmaxModel:
     def weighted_grad(self, w: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         """Σ_{x,y} c(x,y) ∇_w log p(y|x,w) for a coefficient matrix c[y,x]."""
         return self.weighted_grads(self._check_weights(w)[None], coeff)[0]
+
+
+def grad_coefficients(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c[..., y, x] as :meth:`SoftmaxModel.grads_into` takes it: a contiguous (..., n_x, n_y)
+    transpose, and Σ_y c (over the strided y, as fixes its bits) repeated along y."""
+    c = np.swapaxes(np.asarray(coeff, dtype=float), -1, -2)
+    sums = np.empty(c.shape)
+    sums[...] = np.add.reduce(c, axis=-1, keepdims=True)
+    return np.ascontiguousarray(c), sums
 
 
 def log_prob(model: SoftmaxModel, x: int, y: int, w: np.ndarray) -> float:
@@ -210,23 +216,30 @@ def insensitivity_report(
 # Losses and datasets.
 # ---------------------------------------------------------------------------
 
-def joint_losses(joint: np.ndarray, log_conditionals: np.ndarray) -> np.ndarray:
+def joint_support(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support of a joint q[y,x], y-major, as (cells, q there): cell x·n_y + y is
+    its place in the (..., n_x, n_y) memory of a ``log_conditionals`` stack."""
+    ys, xs = np.nonzero(np.asarray(joint) > 0)
+    return xs * np.shape(joint)[0] + ys, np.asarray(joint, dtype=float)[ys, xs]
+
+
+def joint_losses(support: tuple, log_conditionals: np.ndarray) -> np.ndarray:
     """−Σ_{x,y} q(x,y) log p(y|x) for each (n_y, n_x) matrix of a (..., n_y, n_x) stack.
 
-    The sum runs over the support of q; a loss whose terms there are not all
-    finite is inf.
+    The sum runs over the :func:`joint_support` of q; a loss whose terms there
+    are not all finite is inf.
     """
-    joint = np.asarray(joint, dtype=float)
-    support = joint > 0
-    logp = np.ascontiguousarray(log_conditionals[..., support])  # (..., |support|)
-    losses = -np.sum(joint[support] * logp, axis=-1)
+    cells, q = support
+    logp = np.swapaxes(log_conditionals, -1, -2)  # a view of the rows' own layout
+    logp = logp.reshape(logp.shape[:-2] + (-1,)).take(cells, axis=-1)  # (..., |support|)
+    losses = -np.add.reduce(q * logp, axis=-1)
     losses[~np.all(np.isfinite(logp), axis=-1)] = np.inf
     return losses
 
 
 def population_losses(model: SoftmaxModel, joint: np.ndarray, W: np.ndarray) -> np.ndarray:
     """L(w_b) = −Σ_{x,y} q(x,y) log p(y|x,w_b) for each row of a (B, dim) stack."""
-    return joint_losses(joint, model.log_conditionals(W))
+    return joint_losses(joint_support(joint), model.log_conditionals(W))
 
 
 def population_loss(model: SoftmaxModel, joint: np.ndarray, w: np.ndarray) -> float:

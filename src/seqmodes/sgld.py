@@ -9,9 +9,9 @@ size ``n``, a dimension ``dim``, batched full-data losses and gradients over a
 (:class:`SoftmaxTarget`, :class:`QuadraticTarget`). A minibatch of m uniform
 draws with replacement enters the gradient only through its (n_y, n_x) count
 table, which is Multinomial(m, N/n) for the dataset's count table N, so the
-sampler draws that table directly. A target may also name the ``model`` its
-gradient reads, with its full-data coefficients in ``joint``: a
-:class:`SoftmaxTarget`'s gradient on given coefficients reads its model alone.
+sampler draws that table directly. A target may instead name the ``model``
+whose one gradient kernel gives its gradient on its joints, with its full-data
+joint in ``joint``, as a :class:`SoftmaxTarget` does.
 
 One engine, :func:`run_chains`, advances every chain: the rows of a (C, d)
 state array move in lockstep, one step at a time, each localized at its own
@@ -47,8 +47,10 @@ from .model import (
     Dataset,
     SoftmaxModel,
     fit_model,
+    grad_coefficients,
     insensitivity_report,
     joint_losses,
+    joint_support,
     lipschitz_estimates,
     population_losses,
     row_norms,
@@ -119,11 +121,11 @@ class SGLDConfig:
 
 # ---------------------------------------------------------------------------
 # Sampling targets: anything with a dataset size, a dimension, batched
-# full-data losses and gradients over a (B, dim) stack of states, and a
-# sampler of minibatch joints with the numbers one draw holds (``draw_entries``);
-# optionally the ``model`` whose gradient on given coefficients is the
-# target's, with the full-data coefficients in ``joint`` (the loss is then
-# ``joint_losses(joint, model.log_conditionals(W))``).
+# full-data losses over a (B, dim) stack of states, a sampler of minibatch
+# joints with the numbers one draw holds (``draw_entries``), and either
+# ``grad(W, joints)``, ∇L on each row's joint (all data if None), or a ``model``
+# and full-data ``joint``: the gradient is then the model's kernel on the
+# joints, and the loss ``joint_losses(joint_support(joint), model.log_conditionals(W))``.
 # ---------------------------------------------------------------------------
 
 class SoftmaxTarget:
@@ -143,13 +145,6 @@ class SoftmaxTarget:
     def loss(self, W: np.ndarray) -> np.ndarray:
         """L_n(w_b) for each row of W."""
         return population_losses(self.model, self.joint, W)
-
-    def grad(self, W: np.ndarray, coeff: np.ndarray | None) -> np.ndarray:
-        """∇L_m(w_b) for each row of W on the joint coeff[b] (all data if None).
-
-        Given coefficients, this reads the model alone.
-        """
-        return -self.model.weighted_grads(W, self.joint if coeff is None else coeff)
 
     def minibatches(self, rngs, m: int, size: int) -> np.ndarray:
         """(size, len(rngs), n_y, n_x) minibatch joints, ``size`` from each generator.
@@ -213,13 +208,18 @@ def sgld_step(
     n_beta: float,
     gamma: float,
     noise: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One update: w + (ε/2)[−βn·grad + γ(w* − w)] + noise.
+    """One update: w + (ε/2)[−βn·grad + γ(w* − w)] + noise, into ``out`` if given.
 
     Broadcasts, so per-row hyperparameters of shape (C, 1) update a (C, d)
-    state array row by row.
+    state array row by row. ``out`` (default: a new array) must not overlap w or grad.
     """
-    return w + 0.5 * epsilon * (-n_beta * grad + gamma * (w_star - w)) + noise
+    out = np.multiply(grad, -n_beta, out=out)
+    out += gamma * (w_star - w)
+    out *= 0.5 * epsilon
+    out += w
+    return np.add(out, noise, out=out)
 
 
 @dataclass(eq=False)
@@ -268,15 +268,16 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     centres). All rows share T, n and m. Row c takes its step-t noise and
     minibatch joint from row (t − 1) % STEP_BLOCK of the draws keyed by
     (seed_c, tag, (t − 1) // STEP_BLOCK); rows with equal seeds draw the noise
-    once. Each step evaluates one batched gradient per distinct target, except
-    that rows whose targets share a ``model`` take one call on the (rows, n_y,
-    n_x) stack of their full-data or minibatch joints. Steps run in chunks
-    whose noise, draws and states hold about ``CHUNK_ENTRIES`` numbers (draws
-    made chunk by chunk give the bits of one draw); each chunk is reduced to
-    the trace (see :class:`ChainTrace`) before the next runs. Losses take one
-    call per distinct target, except that rows whose targets share a
+    once. Steps run in chunks whose noise, draws and states hold about
+    ``CHUNK_ENTRIES`` numbers (draws made chunk by chunk give the bits of one
+    draw), in one step loop: a gradient call per distinct target, except that
+    rows whose targets share a ``model`` take one ``grads_into`` call on their
+    joints, transposed and summed once a chunk, and :func:`sgld_step` writes
+    into the chunk; buffers are allocated once a call. Each chunk is reduced
+    to the trace (see :class:`ChainTrace`) before the next runs. Losses take
+    one call per distinct target, except that rows whose targets share a
     ``model`` take one ``log_conditionals`` call, reduced over each target's
-    own joint; the norm-cap count skips the initial point.
+    support (found once a call); the norm-cap count skips the initial point.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -291,7 +292,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     rows, d = len(targets), w_star.shape[-1]
     if w_star.shape not in ((d,), (rows, d)):
         raise SGLDError(f"w_star must be one centre or one a row, got shape {w_star.shape}")
-    centers = np.broadcast_to(w_star, (rows, d))
+    centers = np.array(np.broadcast_to(w_star, (rows, d)))  # contiguous: a step reads it
     w = np.array(np.broadcast_to(centers if init is None else init, (rows, d)), dtype=float)
 
     sqrt_eps = np.sqrt([[config.epsilon] for config in configs])
@@ -321,9 +322,12 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         calls.append((streams[shared[0]][0], own, parts, full))
     width = (seeds.size + 2 * rows) * d  # a step's noise, its scaled rows and its states
     width += sum(len(bs) * target.draw_entries(m) for target, _, bs in streams if bs)
-    if m < n:
+    if m < n:  # stacked draws, and the transposed joints and their sums of a model's kernel
         width += sum(full.size for _, _, _, full in calls if full is not None)
+        width += sum(2 * len(bs) * t.joint.size for t, _, bs in streams if hasattr(t, "model"))
     chunk_steps = max(1, min(STEP_BLOCK, CHUNK_ENTRIES // width))
+    supports = [joint_support(target.joint) if hasattr(target, "model") else None
+                for target, _, _ in streams]  # each target's, for its losses
 
     stride = max(1, T // 64)
     partner = first_row[seed_of_row]  # each row's first row of its seed
@@ -338,8 +342,8 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         """L_n(w) of each row's target at its (rows, k, d) states, as (rows, k)."""
         k = states.shape[1]
         out = np.empty((rows, k))
-        for target, own, parts, full in calls:
-            if full is None:  # one target
+        for target, own, parts, _ in calls:
+            if not hasattr(target, "model"):  # one target, with its own loss
                 members = streams[parts[0][0]][1]
                 flat = states[members].reshape(-1, d)
                 out[members] = target.loss(flat).reshape(len(members), k)
@@ -348,7 +352,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
             logp = logp.reshape((-1, k) + logp.shape[1:])  # (rows of the model, k, n_y, n_x)
             for i, positions in parts:
                 source, members, _ = streams[i]
-                out[members] = joint_losses(source.joint, logp[positions])
+                out[members] = joint_losses(supports[i], logp[positions])
         return out
 
     def record(t0: int, chunk: np.ndarray) -> None:
@@ -367,7 +371,37 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         trail[:, head // stride:(t0 + k + stride - 1) // stride] = chunk[:, head - t0::stride]
 
     grad, draws = np.empty((rows, d)), np.empty((seeds.size, chunk_steps, d))
-    eta, chunk = np.empty((2, rows, chunk_steps, d))  # each row's scaled noise, and its states
+    eta, chunk = np.empty((2, chunk_steps, rows, d))  # each step's scaled noise, and its states
+
+    def gradient(target, own, parts, full):
+        """A call's gradient: given a chunk's draws, the function of (w, j) that
+        writes −∇L_m of the call's rows at step j of the chunk into ``grad``."""
+        model = getattr(target, "model", None)
+        scatter = model is not None and not isinstance(own, slice)  # rows apart: a buffer
+        out = np.empty((len(own), d)) if scatter else grad[own]
+
+        def for_chunk(drawn, k):
+            coeff = drawn[parts[0][0]]  # a lone target's (k, rows, n_y, n_x) joints, or None
+            if model is None:
+                def step(w, j):
+                    grad[own] = -target.grad(w[own], None if coeff is None else coeff[j])
+                return step
+            if m < n and full is not None:
+                coeff = np.empty((k,) + full.shape)
+                for i, positions in parts:
+                    coeff[:, positions] = drawn[i]
+            c, sums = grad_coefficients(coeff if m < n else target.joint if full is None else full)
+            if m == n:  # the same joints at every step
+                c, sums = (np.broadcast_to(a, (k,) + a.shape) for a in (c, sums))
+
+            def step(w, j):
+                model.grads_into(w[own], c[j], sums[j], out)
+                if scatter:
+                    grad[own] = out
+            return step
+        return for_chunk
+
+    gradients = [gradient(*call) for call in calls]
     # a non-finite state raises after its chunk: until then steps and reductions run quietly
     with np.errstate(over="ignore", invalid="ignore"):
         record(0, w[:, None])
@@ -380,35 +414,28 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
                 k = min(chunk_steps, start + STEP_BLOCK - t0, T - t0)
                 for rng, out in zip(noise, draws):
                     rng.standard_normal(out=out[:k])
-                np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None], out=eta[:, :k])
+                np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None],
+                            out=eta[:k].swapaxes(0, 1))
                 drawn = []  # per stream: (k, its rows, n_y, n_x) joints, or None
                 for (target, _, _), rngs in zip(streams, batch):
                     drawn.append(target.minibatches(rngs, m, k) if rngs else None)
-                coeffs = []  # per call: its step-by-step coefficients, or None for its own
-                for _, _, parts, full in calls:
-                    if full is None:
-                        coeffs.append(drawn[parts[0][0]])
-                    elif m == n:
-                        coeffs.append(np.broadcast_to(full, (k,) + full.shape))
-                    else:
-                        stack = np.empty((k,) + full.shape)
-                        for i, positions in parts:
-                            stack[:, positions] = drawn[i]
-                        coeffs.append(stack)
+                steps = [for_chunk(drawn, k) for for_chunk in gradients]
                 before = w
                 for j in range(k):
-                    for (target, own, _, _), coeff in zip(calls, coeffs):
-                        grad[own] = target.grad(w[own], None if coeff is None else coeff[j])
-                    w = sgld_step(w, grad, w_star, eps, n_beta, gamma, eta[:, j])
-                    chunk[:, j] = w
-                finite = np.isfinite(chunk[:, :k]).all(axis=2)  # (rows, k)
+                    for step in steps:
+                        step(w, j)
+                    # −∇L_m in ``grad`` takes −nβ: negation is exact, so the bits are −nβ·∇L_m
+                    w = sgld_step(w, grad, centers, eps, -n_beta, gamma, eta[j], chunk[j])
+                w = w.copy()  # the next chunk writes over ``chunk``; ``before`` must survive it
+                states = chunk[:k].swapaxes(0, 1)  # (rows, k, d)
+                finite = np.isfinite(states).all(axis=2)  # (rows, k)
                 if not finite.all():  # the first non-finite step, and its first row
                     j = int(np.flatnonzero(~finite.all(axis=0))[0])
                     c, t = int(np.flatnonzero(~finite[:, j])[0]), t0 + j
-                    last = chunk[c, j - 1] if j else before[c]
+                    last = states[c, j - 1] if j else before[c]
                     raise ChainDivergedError(f"non-finite state in chain {c} at step {t}",
                                              {"step": t, "row": c}, last.copy())
-                record(t0, chunk[:, :k])
+                record(t0, states)
 
     reference = row_losses(centers[:, None])[:, 0]
     return [ChainTrace(losses=losses[c], distances=distances[c], states=trail[c],

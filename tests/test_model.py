@@ -296,6 +296,9 @@ class TestBatchedKernels:
         SoftmaxModel(k=1, l=1, alphabet_size=3),
         SoftmaxModel(k=1, l=2, alphabet_size=2, pinned=False),
         SoftmaxModel(k=2, l=1, alphabet_size=2, parametrization="low_rank", rank=2),
+        # n_y = 10: numpy's pairwise sums run 8 accumulators past 8 terms
+        SoftmaxModel(k=1, l=1, alphabet_size=10),
+        SoftmaxModel(k=1, l=1, alphabet_size=10, parametrization="low_rank", rank=3),
     ])
     def test_rows_match_single_calls_bitwise(self, model):
         rng = np.random.default_rng(5)
@@ -313,6 +316,39 @@ class TestBatchedKernels:
             np.testing.assert_array_equal(grads[b], model.weighted_grad(w, coeffs[b]))
             np.testing.assert_array_equal(shared[b], model.weighted_grad(w, joint))
             assert losses[b] == population_loss(model, joint, w)
+
+
+    @pytest.mark.parametrize("model", [
+        SoftmaxModel(k=1, l=1, alphabet_size=3),
+        SoftmaxModel(k=1, l=1, alphabet_size=10),
+        SoftmaxModel(k=1, l=1, alphabet_size=10, pinned=False),
+        SoftmaxModel(k=1, l=1, alphabet_size=10, parametrization="low_rank", rank=3),
+    ])
+    def test_kernels_are_the_closed_forms_bitwise(self, model):
+        # log p = z − max − log Σ exp(z − max) and Σ c ∇ log p = c − p·Σ_y c in the
+        # logits, each evaluated as written, on one coefficient matrix and on a stack
+        rng = np.random.default_rng(8)
+        W = rng.standard_normal((5, model.dim))
+        count, n_x, n_y = len(W), model.n_x, model.n_y
+        if model.parametrization == "low_rank":
+            a = W[:, :n_y * 3].reshape(count, n_y, 3)
+            b = W[:, n_y * 3:].reshape(count, n_x, 3)
+            z = b @ a.transpose(0, 2, 1)
+        else:
+            z = np.zeros((count, n_x, n_y))
+            z[:, :, :n_y - model.pinned] = W.reshape(count, n_x, n_y - model.pinned)
+        z = z - z.max(axis=2, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=2, keepdims=True))
+        np.testing.assert_array_equal(model.log_conditionals(W), logp.transpose(0, 2, 1))
+        for coeff in (rng.random((n_y, n_x)), rng.random((count, n_y, n_x)) - 0.5):
+            c = np.swapaxes(coeff, -1, -2)
+            g = c - np.exp(logp) * c.sum(axis=-1, keepdims=True)
+            if model.parametrization == "low_rank":
+                g = np.concatenate([(g.transpose(0, 2, 1) @ b).reshape(count, -1),
+                                    (g @ a).reshape(count, -1)], axis=1)
+            else:
+                g = g[:, :, :n_y - model.pinned].reshape(count, -1)
+            np.testing.assert_array_equal(model.weighted_grads(W, coeff), g)
 
 
 class TestRowNorms:

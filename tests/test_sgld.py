@@ -198,6 +198,40 @@ class TestRunChains:
             assert_naive_trace(trace, *naive_chain(model, dataset, w_star, cfg), w_star)
             assert trace.deltas is None  # no row shares its seed
 
+    # |Σ| = 10: n_y = 10 is past the 8 terms where numpy's pairwise sums switch
+    # to 8 accumulators, so a sum over another layout could change bits; 100
+    # cells take the index sampler at m = 64 and the multinomial one at m = 1000
+    @pytest.mark.parametrize("model", [
+        SoftmaxModel(k=1, l=1, alphabet_size=10),
+        SoftmaxModel(k=1, l=1, alphabet_size=10, pinned=False),
+        SoftmaxModel(k=1, l=1, alphabet_size=10, parametrization="low_rank", rank=2),
+    ])
+    @pytest.mark.parametrize("m", [2000, 64, 1000])
+    def test_matches_naive_loop_past_eight_continuations(self, model, m):
+        lang = random_language(6, Alphabet(10), 2)
+        dataset = sample_dataset(conditional_operator(lang, 1, 1).joint(), 2000, seed=3)
+        w_star = 0.3 * np.random.default_rng(4).standard_normal(model.dim)
+        configs = [SGLDConfig(n=2000, beta=0.005, gamma=2.0 + c, m=m, T=300,
+                              epsilon=1e-3 * (c + 1), seed=30 + c) for c in range(2)]
+        traces = run_chains([SoftmaxTarget(model, dataset)] * 2, w_star, configs)
+        for trace, cfg in zip(traces, configs):
+            assert_naive_trace(trace, *naive_chain(model, dataset, w_star, cfg), w_star)
+
+    def test_model_rows_around_another_target(self):
+        # the rows of one model are not contiguous here, so its kernel writes
+        # into a buffer of its own; each row is still its lone chain
+        model, ds_a, w_star = self.setup("full_table")
+        ds_b = sample_dataset(ds_a.empirical_joint(), 300, seed=9)
+        targets = [SoftmaxTarget(model, ds_a), QuadraticTarget(np.ones(model.dim), n=300),
+                   SoftmaxTarget(model, ds_b)]
+        for m in (300, 32):
+            configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=300, epsilon=1e-3,
+                                  seed=s) for s in (4, 5, 6)]
+            for target, cfg, trace in zip(targets, configs, run_chains(targets, w_star, configs)):
+                alone = run_chain(target, w_star, cfg)
+                for name in ("states", "losses", "distances"):
+                    np.testing.assert_array_equal(getattr(trace, name), getattr(alone, name))
+
     def test_row_alone_beside_others_and_as_prefix(self):
         # a row's states do not depend on the rows beside it, nor on T: a
         # shorter chain ending inside a block is a prefix of a longer one
@@ -292,6 +326,42 @@ class TestRunChains:
         np.testing.assert_array_equal(many.value.last_state, alone.value.last_state)
         assert np.all(np.isfinite(many.value.last_state))
 
+    # chunks of 1, 6 and 256 steps (two d = 1 rows take 6 numbers a step)
+    @pytest.mark.parametrize("entries", [1, 40, 1 << 20])
+    def test_divergence_at_the_first_step_of_a_chunk(self, monkeypatch, entries):
+        # the state carried into a chunk, and reported as the last finite one
+        # when the chunk's first step diverges, must not be a view of the chunk
+        # that step writes over
+        class Bursting:
+            """∇L(w) = w until the gradient call ``burst``, which is infinite."""
+
+            n, dim = 10, 1
+
+            def __init__(self, burst):
+                self.burst, self.calls = burst, 0
+
+            def loss(self, W):
+                return W[:, 0] ** 2
+
+            def grad(self, W, joints):
+                self.calls += 1
+                return np.full(W.shape, np.inf) if self.calls == self.burst else W
+
+        monkeypatch.setattr(sgld, "CHUNK_ENTRIES", entries)
+        step = min(STEP_BLOCK, max(1, entries // 6)) + 1  # the second chunk's first step
+        stable = QuadraticTarget(np.ones(1), n=10)
+        configs = [SGLDConfig(n=10, beta=1.0, gamma=1.0, m=10, T=600, epsilon=1e-2, seed=s)
+                   for s in (0, 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ChainDivergedError) as err:
+                run_chains([stable, Bursting(step)], np.zeros(1), configs)
+        assert err.value.diagnostics == {"step": step, "row": 1}
+        # the same gradient, w, without the burst: its state step − 1 is the last finite one
+        before = run_chains([stable, QuadraticTarget(np.ones(1), n=10)], np.zeros(1),
+                            [replace(cfg, T=step) for cfg in configs])[1]
+        assert np.all(np.isfinite(err.value.last_state))
+        np.testing.assert_array_equal(err.value.last_state, before.states[-1])
+
     def test_norm_cap_count(self):
         model, dataset, w_star = self.setup("full_table")
         configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=32, T=80, epsilon=1e-3,
@@ -329,9 +399,9 @@ class TestRunChains:
         targets = [SoftmaxTarget(model, ds) for ds in datasets]
         targets.append(QuadraticTarget(np.ones(model.dim), n=300))
         calls = []
-        kernel = SoftmaxModel.weighted_grads
-        monkeypatch.setattr(SoftmaxModel, "weighted_grads",
-                            lambda self, W, coeff: calls.append(len(W)) or kernel(self, W, coeff))
+        kernel = SoftmaxModel.grads_into
+        monkeypatch.setattr(SoftmaxModel, "grads_into",
+                            lambda self, W, *args: calls.append(len(W)) or kernel(self, W, *args))
         for m in (300, 32):
             calls.clear()
             configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=40, epsilon=1e-3,

@@ -25,27 +25,18 @@ from .model import (
     Dataset,
     InsensitivityReport,
     SoftmaxModel,
-    empirical_loss,
-    entropy_rate_bound,
     fit_model,
     grad_log_prob,
     insensitivity_report,
     lipschitz_estimates,
     log_prob,
-    phi_map,
     population_loss,
     sample_dataset,
 )
 from .modes import (
     ModeDecomposition,
     gram_mode_basis,
-    mode_basis_eval,
-    mode_weight,
-    pair_model_with_mode,
-    propensity,
-    reconstruct_conditional,
     truncated_weighted_svd,
-    tucker_decompose,
     weighted_svd,
 )
 from .sgld import (

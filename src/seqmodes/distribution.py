@@ -394,20 +394,6 @@ def plant_absolute_bigram(
     )
 
 
-def is_absolute_bigram(lang: Language, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
-    k, l = len(x), len(y)
-    if k + l != lang.K:
-        return False
-    full = lang.joint.reshape(lang.size**k, lang.size**l)
-    x_flat = int(np.ravel_multi_index(tuple(x), (lang.size,) * k))
-    y_flat = int(np.ravel_multi_index(tuple(y), (lang.size,) * l))
-    if full[x_flat, y_flat] <= 0:
-        return False
-    row_ok = np.all(np.delete(full[x_flat], y_flat) == 0)
-    col_ok = np.all(np.delete(full[:, y_flat], x_flat) == 0)
-    return bool(row_ok and col_ok)
-
-
 def plant_collective_bigram(
     lang: Language, S: list[tuple[int, ...]], y: tuple[int, ...]
 ) -> Language:

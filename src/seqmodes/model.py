@@ -8,10 +8,10 @@ them.
 
 The same module carries the function-space view of a model (its matrix of
 log-probabilities), the insensitivity constants of a model to the difference
-between two distributions, population and empirical losses, datasets (each
-one count table of (x, y) pairs) and their sampling, full-batch fitting, the
-exact Hessian-norm and gradient-norm constants M and Q, the entropy-rate
-threshold calculator, and composite models chained over a decomposition of K.
+between two distributions, population losses, datasets (each one count
+table of (x, y) pairs) and their sampling, full-batch fitting, the exact
+Hessian-norm and gradient-norm constants M and Q, and composite models
+chained over a decomposition of K.
 Constants over a set of points are evaluated on the (P, dim) stack of them at
 once. Models, weights and datasets live in memory only: nothing here reads or
 writes files.
@@ -151,11 +151,6 @@ def grad_log_prob(model: SoftmaxModel, x: int, y: int, w: np.ndarray) -> np.ndar
     return model.weighted_grad(w, coeff)
 
 
-def phi_map(model: SoftmaxModel, w: np.ndarray) -> np.ndarray:
-    """Log-probability map as an element of the weighted function space."""
-    return model.log_conditional_matrix(w)
-
-
 # ---------------------------------------------------------------------------
 # Insensitivity constants.
 # ---------------------------------------------------------------------------
@@ -279,13 +274,6 @@ class Dataset:
         if len(self) == 0:
             raise ModelError("empty dataset")
         return self.counts / len(self)
-
-
-def empirical_loss(model: SoftmaxModel, dataset: Dataset, w: np.ndarray) -> float:
-    """L_n(w) = −(1/n) Σ_i log p(y_i|x_i, w)."""
-    if len(dataset) == 0:
-        raise ModelError("empty dataset")
-    return population_loss(model, dataset.empirical_joint(), w)
 
 
 def sample_dataset(joint: np.ndarray, n: int, seed: int) -> Dataset:
@@ -450,31 +438,6 @@ def lipschitz_estimates(
     per_q = row_norms(model.weighted_grads(W, joint))
     return LipschitzEstimates(M=float(per_m.max()), Q=float(per_q.max()),
                               per_point_M=per_m, per_point_Q=per_q)
-
-
-# ---------------------------------------------------------------------------
-# Entropy-rate threshold.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EntropyRateBound:
-    threshold: float
-    exponent: float
-    context_dominates: bool  # k > 2 + 31 l
-
-
-def entropy_rate_bound(
-    k: int, l: int, alphabet_size: int, H: float, A: float
-) -> EntropyRateBound:
-    """Threshold 2^{((k+l)/2)·H − l·log2|Σ| − 1}·A with the k > 2 + 31l flag."""
-    if H <= 0:
-        raise ModelError("entropy rate H must be positive")
-    exponent = 0.5 * (k + l) * H - l * np.log2(alphabet_size) - 1.0
-    return EntropyRateBound(
-        threshold=float(2.0**exponent * A),
-        exponent=float(exponent),
-        context_dominates=bool(k > 2 + 31 * l),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ counts for a corpus operator), never through the dense matrix. One builder
 turns either path's SVD factors into the decomposition, so both share the
 kernel zeros, the sign convention and the tie order.
 
-Also here: mode propensities, the orthonormal basis e_{αβ}(x)(y) =
-v̂*_α(x)·u_β(y) of the weighted function space, pairings of parametric models
-against that basis, and a grouped Tucker decomposition for higher-order joint
-tensors.
+Also here: the orthonormal basis e_{αβ}(x)(y) = v̂*_α(x)·u_β(y) of the
+weighted function space (its Gram matrix and the coefficients of a function in
+it), low-rank reconstruction of the conditional matrix, and a JSON summary of
+a decomposition.
 """
 
 from __future__ import annotations
@@ -76,27 +76,9 @@ class ModeDecomposition:
         """Whether both bases are full rather than the leading columns only."""
         return self.n_modes == len(self.marginal) and self.n_left == len(self.y_labels)
 
-    def x_index(self, x) -> int:
-        return _label_index(x, self.x_labels, "context")
-
-    def y_index(self, y) -> int:
-        return _label_index(y, self.y_labels, "continuation")
-
     def vhat_matrix(self) -> np.ndarray:
         """v̂*_α(x) for all (x, α): right vectors mapped out of D-coordinates."""
         return self.right_vectors / np.sqrt(self.marginal)[:, None]
-
-
-def _label_index(key, labels: tuple[tuple[int, ...], ...], kind: str) -> int:
-    """Row of an int index in [0, len(labels)) or of a label tuple; ModeError otherwise."""
-    if isinstance(key, (int, np.integer)):
-        if not 0 <= key < len(labels):
-            raise ModeError(f"{kind} index {key} out of range [0, {len(labels)})")
-        return int(key)
-    try:
-        return labels.index(tuple(key))
-    except ValueError:
-        raise ModeError(f"unknown {kind} label {tuple(key)}") from None
 
 
 def _orient(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,12 +200,6 @@ def mode_coefficients(dec: ModeDecomposition, f: np.ndarray) -> np.ndarray:
     return dec.right_vectors.T @ weighted.T @ dec.left_vectors
 
 
-def coefficients_to_function(dec: ModeDecomposition, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`mode_coefficients`."""
-    weighted = dec.left_vectors @ coeffs.T @ dec.right_vectors.T
-    return weighted / np.sqrt(dec.marginal)[None, :]
-
-
 def reconstruct_matrix(dec: ModeDecomposition, chi: int | None = None) -> np.ndarray:
     """Σ_{α ≤ chi} s_α u_α v̂*_α as a conditional-matrix-shaped array.
 
@@ -238,46 +214,6 @@ def reconstruct_matrix(dec: ModeDecomposition, chi: int | None = None) -> np.nda
     return (u * s[None, :]) @ vhat.T
 
 
-def propensity(dec: ModeDecomposition, alpha: int, x, y) -> float:
-    """s_α^{-1} v̂*_α(x) u_α(y) for positive modes; 0 on the kernel by convention."""
-    if alpha < 0 or alpha >= dec.n_modes:
-        raise ModeError(f"mode index {alpha} out of range")
-    if alpha >= dec.n_plus:
-        return 0.0
-    xi = dec.x_index(x)
-    yi = dec.y_index(y)
-    vhat = dec.right_vectors[xi, alpha] / np.sqrt(dec.marginal[xi])
-    return float(dec.left_vectors[yi, alpha] * vhat / dec.singular_values[alpha])
-
-
-def mode_weight(dec: ModeDecomposition, alpha: int) -> float:
-    """q(α) = s_α²."""
-    if alpha < 0 or alpha >= dec.n_modes:
-        raise ModeError(f"mode index {alpha} out of range")
-    return float(dec.singular_values[alpha] ** 2)
-
-
-def reconstruct_conditional(dec: ModeDecomposition, x, y) -> float:
-    """Σ_α q(y|x, α) q(α) = Σ_α s_α v̂*_α(x) u_α(y); equals q(y|x) at full rank."""
-    xi = dec.x_index(x)
-    yi = dec.y_index(y)
-    top = dec.n_plus
-    vhat = dec.right_vectors[xi, :top] / np.sqrt(dec.marginal[xi])
-    return float(np.sum(dec.singular_values[:top] * vhat * dec.left_vectors[yi, :top]))
-
-
-def mode_basis_eval(dec: ModeDecomposition, alpha: int, beta: int, x, y) -> float:
-    """e_{αβ}(x)(y) = v̂*_α(x) u_β(y)."""
-    if alpha < 0 or alpha >= dec.n_modes:
-        raise ModeError(f"alpha index {alpha} out of range")
-    if beta < 0 or beta >= dec.n_left:
-        raise ModeError(f"beta index {beta} out of range")
-    xi = dec.x_index(x)
-    yi = dec.y_index(y)
-    vhat = dec.right_vectors[xi, alpha] / np.sqrt(dec.marginal[xi])
-    return float(vhat * dec.left_vectors[yi, beta])
-
-
 def gram_mode_basis(dec: ModeDecomposition) -> np.ndarray:
     """Pairings ⟨e_{αβ}, e_{γδ}⟩, computed by the weighted sum over contexts.
 
@@ -289,23 +225,6 @@ def gram_mode_basis(dec: ModeDecomposition) -> np.ndarray:
     right_gram = np.einsum("x,xa,xc->ac", dec.marginal, vhat, vhat)
     left_gram = dec.left_vectors.T @ dec.left_vectors
     return np.kron(right_gram, left_gram)
-
-
-def pair_model_with_mode(model_conditional, dec: ModeDecomposition, alpha: int, beta: int) -> float:
-    """Σ_{x,y} p(y|x) q(x) e_{αβ}(x)(y) for a model conditional p.
-
-    ``model_conditional`` is either an (n_y, n_x) array of p(y|x) or a
-    callable mapping an x label to a distribution vector over continuations.
-    """
-    if callable(model_conditional):
-        cols = [np.asarray(model_conditional(lab), dtype=float) for lab in dec.x_labels]
-        p = np.column_stack(cols)
-    else:
-        p = np.asarray(model_conditional, dtype=float)
-    vhat_alpha = dec.right_vectors[:, alpha] / np.sqrt(dec.marginal)
-    u_beta = dec.left_vectors[:, beta]
-    per_x = u_beta @ p  # Σ_y p(y|x) u_β(y)
-    return float(np.sum(dec.marginal * vhat_alpha * per_x))
 
 
 def decomposition_summary(dec: ModeDecomposition, top_components: int = 0) -> dict:
@@ -337,82 +256,3 @@ def decomposition_summary(dec: ModeDecomposition, top_components: int = 0) -> di
         "components": components,
     }
 
-
-# ---------------------------------------------------------------------------
-# Grouped Tucker decomposition of higher-order joint tensors.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TuckerDecomposition:
-    core: np.ndarray
-    factors: tuple[np.ndarray, ...]
-    partition: tuple[tuple[int, ...], ...]
-    group_singular_values: tuple[np.ndarray, ...]
-    original_shape: tuple[int, ...]
-
-
-def _validate_partition(partition, ndim: int) -> tuple[tuple[int, ...], ...]:
-    groups = tuple(tuple(int(i) for i in group) for group in partition)
-    seen = [i for group in groups for i in group]
-    if sorted(seen) != list(range(1, ndim + 1)):
-        raise ModeError(
-            f"partition {partition} must consist of disjoint groups covering 1..{ndim}"
-        )
-    if any(len(g) == 0 for g in groups):
-        raise ModeError("partition groups must be non-empty")
-    return groups
-
-
-def tucker_decompose(tensor: np.ndarray, partition) -> TuckerDecomposition:
-    """Tucker decomposition of an order-k tensor with respect to an index grouping.
-
-    Each group's factor basis consists of the left singular vectors of the
-    unfolding with that group's (merged) indices as rows, under the plain dot
-    product; the core is the tensor contracted against all factor bases, so
-    the full-rank reconstruction is exact.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    groups = _validate_partition(partition, tensor.ndim)
-    perm = [i - 1 for group in groups for i in group]
-    permuted = np.transpose(tensor, perm)
-    group_dims = []
-    pos = 0
-    for group in groups:
-        dim = 1
-        for _ in group:
-            dim *= tensor.shape[pos]
-            pos += 1
-        group_dims.append(dim)
-    grouped = permuted.reshape(group_dims)
-
-    factors = []
-    sing = []
-    core = grouped
-    for j in range(len(groups)):
-        unfold = np.moveaxis(grouped, j, 0).reshape(group_dims[j], -1)
-        u, s, _ = np.linalg.svd(unfold, full_matrices=True)
-        u = _orient(u, u)[0]
-        factors.append(u)
-        sing.append(s)
-        core = np.tensordot(core, u, axes=([0], [0]))
-        # tensordot cycles the contracted axis to the end; after r passes the
-        # axes are back in group order.
-    return TuckerDecomposition(
-        core=core,
-        factors=tuple(factors),
-        partition=groups,
-        group_singular_values=tuple(sing),
-        original_shape=tensor.shape,
-    )
-
-
-def tucker_reconstruct(dec: TuckerDecomposition) -> np.ndarray:
-    """Contract the core against the factor bases and undo the grouping."""
-    out = dec.core
-    for factor in dec.factors:
-        out = np.tensordot(out, factor.T, axes=([0], [0]))
-    perm = [i - 1 for group in dec.partition for i in group]
-    shape = [dec.original_shape[i] for i in perm]
-    out = out.reshape(shape)
-    inverse = np.argsort(perm)
-    return np.transpose(out, inverse)

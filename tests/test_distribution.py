@@ -9,7 +9,6 @@ from seqmodes.distribution import (
     check_language,
     conditional_operator,
     fundamental_tensor,
-    is_absolute_bigram,
     language_from_json,
     language_to_json,
     marginalize,
@@ -170,8 +169,10 @@ class TestPlantAbsoluteBigram:
     def test_passes_check(self):
         lang = random_language(1, Alphabet(3), 2)
         planted = plant_absolute_bigram(lang, (1,), (2,))
-        assert is_absolute_bigram(planted, (1,), (2,))
-        assert not is_absolute_bigram(planted, (0,), (2,))
+        # row x = 1 and column y = 2 are zero except at (x, y)
+        assert planted.joint[1, 2] > 0
+        assert np.count_nonzero(planted.joint[1]) == 1
+        assert np.count_nonzero(planted.joint[:, 2]) == 1
 
     def test_renormalized_mass(self):
         # hand computation on a 2x2 joint: keep q(aa) and q(bb), renormalize

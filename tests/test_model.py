@@ -11,19 +11,15 @@ from seqmodes.distribution import (
 from seqmodes.model import (
     CompositeModel,
     Dataset,
-    EntropyRateBound,
     ModelError,
     SoftmaxModel,
     composite_model_for,
-    empirical_loss,
-    entropy_rate_bound,
     fit_model,
     grad_log_prob,
     grad_population_loss,
     insensitivity_report,
     lipschitz_estimates,
     log_prob,
-    phi_map,
     population_loss,
     population_losses,
     row_norms,
@@ -111,30 +107,6 @@ class TestGradients:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-class TestPhiMap:
-    def test_uniform_constant(self):
-        model = SoftmaxModel(k=1, l=1, alphabet_size=2)
-        phi = phi_map(model, np.zeros(model.dim))
-        np.testing.assert_allclose(phi, -np.log(2))
-
-    def test_pairing_matches_double_sum(self):
-        lang = random_language(0, Alphabet(3), 2)
-        op = conditional_operator(lang, 1, 1)
-        model = SoftmaxModel(k=1, l=1, alphabet_size=3)
-        rng = np.random.default_rng(3)
-        w = rng.standard_normal(model.dim)
-        q_joint = op.joint()
-        qp_joint = q_joint[::-1].copy()  # any other distribution with same mass
-        phi = phi_map(model, w)
-        brute = sum(
-            (q_joint[y, x] - qp_joint[y, x]) * phi[y, x]
-            for x in range(3)
-            for y in range(3)
-        )
-        direct = float(np.sum((q_joint - qp_joint) * phi))
-        assert abs(brute - direct) < 1e-12
-
-
 class TestInsensitivity:
     def setup_method(self):
         lang = random_language(5, Alphabet(2), 2)
@@ -217,9 +189,9 @@ class TestLosses:
         model = SoftmaxModel(k=1, l=1, alphabet_size=2)
         ds = Dataset([[1, 0], [1, 2]])  # pairs (x, y): (0, 0), (0, 1), (1, 1), (1, 1)
         w = np.array([0.2, -0.3])
-        assert empirical_loss(model, ds, w) == pytest.approx(
-            population_loss(model, ds.empirical_joint(), w)
-        )
+        pairs = [(0, 0), (0, 1), (1, 1), (1, 1)]
+        by_hand = -sum(log_prob(model, x, y, w) for x, y in pairs) / len(pairs)
+        assert population_loss(model, ds.empirical_joint(), w) == pytest.approx(by_hand)
 
     def test_gibbs_inequality_on_grid(self):
         lang = random_language(7, Alphabet(2), 2)
@@ -468,29 +440,6 @@ class TestLipschitz:
         joint = ds.empirical_joint()
         expected = max(np.linalg.norm(grad_population_loss(model, joint, w)) for w in pts)
         assert est.Q == pytest.approx(expected)
-
-
-class TestEntropyRateBound:
-    def test_reference_point(self):
-        out = entropy_rate_bound(k=33, l=1, alphabet_size=65536, H=1.0, A=1.0)
-        assert out.exponent == pytest.approx(0.0)
-        assert out.threshold == pytest.approx(1.0)
-        # k = 33 sits exactly on the strict boundary k > 2 + 31 l
-        assert not out.context_dominates
-        assert entropy_rate_bound(34, 1, 65536, 1.0, 1.0).context_dominates
-
-    def test_zero_A(self):
-        assert entropy_rate_bound(4, 1, 16, 1.0, 0.0).threshold == 0.0
-
-    def test_linear_in_A(self):
-        one = entropy_rate_bound(5, 2, 8, 2.0, 1.0).threshold
-        two = entropy_rate_bound(5, 2, 8, 2.0, 2.0).threshold
-        assert two == pytest.approx(2 * one)
-
-    def test_monotone_in_k_and_l(self):
-        base = entropy_rate_bound(6, 2, 8, 1.5, 1.0).threshold
-        assert entropy_rate_bound(7, 2, 8, 1.5, 1.0).threshold > base
-        assert entropy_rate_bound(6, 3, 8, 1.5, 1.0).threshold < base
 
 
 class TestCompositeModel:

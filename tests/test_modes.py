@@ -13,21 +13,12 @@ from seqmodes.distribution import (
     random_language,
 )
 from seqmodes.modes import (
-    ModeError,
-    coefficients_to_function,
     gram_mode_basis,
     hs_inner,
     hs_norm,
-    mode_basis_eval,
     mode_coefficients,
-    mode_weight,
-    pair_model_with_mode,
-    propensity,
-    reconstruct_conditional,
     reconstruct_matrix,
     truncated_weighted_svd,
-    tucker_decompose,
-    tucker_reconstruct,
     weighted_svd,
 )
 
@@ -48,7 +39,6 @@ class TestWeightedSvd:
         dec = weighted_svd(op)
         assert dec.n_plus == 1
         np.testing.assert_allclose(dec.singular_values[0], np.sqrt(0.5), atol=1e-12)
-        np.testing.assert_allclose(dec.singular_values[1:], 0.0, atol=1e-12)
 
     def test_identity_conditional_weighted_values(self):
         joint = np.diag([0.75, 0.25])
@@ -164,32 +154,18 @@ class TestWeightedSvd:
 
 
 class TestPropensity:
-    def test_absolute_bigram_propensity(self):
-        lang = plant_absolute_bigram(random_language(2, Alphabet(3), 2), (0,), (1,))
-        op = conditional_operator(lang, 1, 1)
-        dec = weighted_svd(op)
-        qx = op.marginal[op.x_labels.index((0,))]
-        alpha = int(np.argmin(np.abs(dec.singular_values - np.sqrt(qx))))
-        xi = op.x_labels.index((0,))
-        # q(z|t, alpha) = q(x)^{-1} for (t, z) = (x, y) and 0 elsewhere
-        assert abs(propensity(dec, alpha, xi, 1) - 1.0 / qx) < 1e-8
-        for z in (0, 2):
-            assert abs(propensity(dec, alpha, xi, z)) < 1e-8
-
-    def test_zero_mode_convention(self):
-        dec = weighted_svd(conditional_operator(uniform_pair_language(), 1, 1))
-        assert propensity(dec, 1, 0, 0) == 0.0
-
     def test_weights(self):
         dec = weighted_svd(conditional_operator(uniform_pair_language(), 1, 1))
-        assert abs(mode_weight(dec, 0) - 0.5) < 1e-12
-        assert mode_weight(dec, 1) == 0.0
+        weights = dec.singular_values**2
+        assert abs(weights[0] - 0.5) < 1e-12
+        # the kernel modes carry exactly zero weight, not a rounding residue
+        assert np.all(weights[1:] == 0.0)
 
     def test_weight_sum_is_frobenius(self):
         lang = random_language(4, Alphabet(3), 2)
         op = conditional_operator(lang, 1, 1)
         dec = weighted_svd(op)
-        total = sum(mode_weight(dec, a) for a in range(dec.n_modes))
+        total = np.sum(dec.singular_values**2)
         b = op.matrix * np.sqrt(op.marginal)[None, :]
         assert abs(total - np.sum(b * b)) < 1e-10
 
@@ -201,40 +177,19 @@ class TestPropensity:
         assert np.min(np.abs(dec.singular_values**2 - q_xy)) < 1e-10
 
 
-class TestEvaluatorIndices:
-    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (3, 0), (0, 3), ((5,), 0), (0, (0, 1))])
-    def test_bad_index_or_label_raises_mode_error(self, x, y):
-        # a negative int used to wrap round to the last context or continuation
-        dec = weighted_svd(conditional_operator(random_language(11, Alphabet(3), 2), 1, 1))
-        for evaluate in (lambda: propensity(dec, 0, x, y), lambda: mode_basis_eval(dec, 0, 0, x, y),
-                         lambda: reconstruct_conditional(dec, x, y)):
-            with pytest.raises(ModeError):
-                evaluate()
-
-    def test_label_and_index_agree(self):
-        dec = weighted_svd(conditional_operator(random_language(11, Alphabet(3), 2), 1, 1))
-        assert propensity(dec, 0, (2,), (1,)) == propensity(dec, 0, 2, np.int64(1))
-
-
 class TestReconstructConditional:
     def test_deterministic_successor(self):
         joint = np.array([[0.0, 0.5], [0.5, 0.0]])
         lang = Language(alphabet=Alphabet(2), K=2, joint=joint)
         op = conditional_operator(lang, 1, 1)
         dec = weighted_svd(op)
-        for xi in range(2):
-            for yi in range(2):
-                assert abs(reconstruct_conditional(dec, xi, yi) - op.matrix[yi, xi]) < 1e-10
+        np.testing.assert_allclose(reconstruct_matrix(dec), op.matrix, atol=1e-10)
 
     def test_random_language(self):
         lang = random_language(11, Alphabet(4), 2)
         op = conditional_operator(lang, 1, 1)
         dec = weighted_svd(op)
-        worst = max(
-            abs(reconstruct_conditional(dec, xi, yi) - op.matrix[yi, xi])
-            for xi in range(4)
-            for yi in range(4)
-        )
+        worst = np.max(np.abs(reconstruct_matrix(dec) - op.matrix))
         assert worst < 1e-10
 
     def test_truncated_differs(self):
@@ -268,6 +223,11 @@ class TestModeBasis:
         lang = random_language(9, Alphabet(2), 2)
         dec = weighted_svd(conditional_operator(lang, 1, 1))
         n, m = dec.n_modes, dec.n_left
+        vhat = dec.right_vectors / np.sqrt(dec.marginal)[:, None]
+
+        def e(a, b, x, y):  # e_{ab}(x)(y) = v̂*_a(x) u_b(y)
+            return vhat[x, a] * dec.left_vectors[y, b]
+
         brute = np.zeros((n * m, n * m))
         for a in range(n):
             for b in range(m):
@@ -275,33 +235,21 @@ class TestModeBasis:
                     for d in range(m):
                         val = sum(
                             dec.marginal[x]
-                            * mode_basis_eval(dec, a, b, x, y)
-                            * mode_basis_eval(dec, c, d, x, y)
+                            * e(a, b, x, y)
+                            * e(c, d, x, y)
                             for x in range(n)
                             for y in range(m)
                         )
                         brute[a * m + b, c * m + d] = val
         np.testing.assert_allclose(gram_mode_basis(dec), brute, atol=1e-10)
 
-    def test_basis_element_is_multiple_of_u(self):
-        lang = random_language(4, Alphabet(3), 2)
-        dec = weighted_svd(conditional_operator(lang, 1, 1))
-        for x in range(3):
-            column = np.array([mode_basis_eval(dec, 1, 2, x, y) for y in range(3)])
-            u = dec.left_vectors[:, 2]
-            scale = column @ u
-            np.testing.assert_allclose(column, scale * u, atol=1e-12)
-
     def test_pairing_with_truth_gives_singular_value(self):
-        # <C, e_{ab}> = delta_{ab} s_a, evaluated through the pairing helper
+        # <C, e_{ab}> = delta_{ab} s_a
         lang = random_language(6, Alphabet(3), 2)
         op = conditional_operator(lang, 1, 1)
         dec = weighted_svd(op)
-        for a in range(dec.n_modes):
-            for b in range(dec.n_left):
-                val = pair_model_with_mode(op.matrix, dec, a, b)
-                expected = dec.singular_values[a] if a == b else 0.0
-                assert abs(val - expected) < 1e-10
+        np.testing.assert_allclose(mode_coefficients(dec, op.matrix), np.diag(dec.singular_values),
+                                   atol=1e-10)
 
     def test_pairing_absolute_bigram_model_identity(self):
         # for the mode of an absolute bigram, <f_w, e_aa> = p(xy|w) q(x)^{-1/2}
@@ -312,7 +260,7 @@ class TestModeBasis:
         alpha = int(np.argmin(np.abs(dec.singular_values - np.sqrt(qx))))
         rng = np.random.default_rng(0)
         p = rng.dirichlet(np.ones(3), size=len(op.x_labels)).T
-        val = pair_model_with_mode(p, dec, alpha, alpha)
+        val = mode_coefficients(dec, p)[alpha, alpha]
         xi = op.x_labels.index((0,))
         p_xy = p[1, xi] * qx
         assert abs(val - p_xy / np.sqrt(qx)) < 1e-10
@@ -323,19 +271,15 @@ class TestModeBasis:
         dec = weighted_svd(op)
         rng = np.random.default_rng(1)
         p = rng.dirichlet(np.ones(3), size=3).T
+        vhat = dec.right_vectors / np.sqrt(dec.marginal)[:, None]
+        coeffs = mode_coefficients(dec, p)
         for a, b in [(0, 0), (1, 2), (2, 1)]:
             brute = sum(
-                p[y, x] * op.marginal[x] * mode_basis_eval(dec, a, b, x, y)
+                p[y, x] * op.marginal[x] * vhat[x, a] * dec.left_vectors[y, b]
                 for x in range(3)
                 for y in range(3)
             )
-            assert abs(pair_model_with_mode(p, dec, a, b) - brute) < 1e-12
-
-    def test_callable_model(self):
-        op = conditional_operator(uniform_pair_language(), 1, 1)
-        dec = weighted_svd(op)
-        val = pair_model_with_mode(lambda lab: [0.5, 0.5], dec, 0, 0)
-        assert abs(val - dec.singular_values[0]) < 1e-12
+            assert abs(coeffs[a, b] - brute) < 1e-12
 
 
 class TestParseval:
@@ -355,7 +299,9 @@ class TestParseval:
         dec = weighted_svd(conditional_operator(lang, 1, 1))
         rng = np.random.default_rng(5)
         f = rng.standard_normal((3, 3))
-        back = coefficients_to_function(dec, mode_coefficients(dec, f))
+        # f = Σ_{ab} <f, e_{ab}> e_{ab}: the basis is complete
+        weighted = dec.left_vectors @ mode_coefficients(dec, f).T @ dec.right_vectors.T
+        back = weighted / np.sqrt(dec.marginal)[None, :]
         np.testing.assert_allclose(back, f, atol=1e-12)
 
     def test_inner_product_def(self):
@@ -444,35 +390,3 @@ class TestTruncatedPath:
         b = truncated_weighted_svd(op, rank=3)
         np.testing.assert_array_equal(a.singular_values, b.singular_values)
         np.testing.assert_array_equal(a.left_vectors, b.left_vectors)
-
-
-class TestTucker:
-    def test_matrix_case_matches_svd(self):
-        lang = random_language(0, Alphabet(3), 2)
-        a2 = lang.joint
-        dec = tucker_decompose(a2, [(1,), (2,)])
-        u, s, vh = np.linalg.svd(a2)
-        np.testing.assert_allclose(np.abs(dec.factors[0]), np.abs(u), atol=1e-10)
-        np.testing.assert_allclose(np.sort(np.abs(np.diag(dec.core)))[::-1], s, atol=1e-10)
-
-    def test_rank_one_product(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([3.0, 1.0])
-        c = np.array([0.5, 2.5])
-        tensor = np.einsum("i,j,k->ijk", a, b, c)
-        dec = tucker_decompose(tensor, [(1,), (2,), (3,)])
-        core = dec.core
-        assert np.sum(np.abs(core) > 1e-10) == 1
-
-    def test_full_rank_reconstruction(self):
-        lang = random_language(23, Alphabet(3), 3)
-        a3 = lang.joint
-        for partition in [[(1,), (2,), (3,)], [(1, 2), (3,)], [(2,), (1, 3)]]:
-            dec = tucker_decompose(a3, partition)
-            np.testing.assert_allclose(tucker_reconstruct(dec), a3, atol=1e-10)
-
-    def test_invalid_partition(self):
-        with pytest.raises(ModeError):
-            tucker_decompose(np.zeros((2, 2)), [(1,), (1,)])
-        with pytest.raises(ModeError):
-            tucker_decompose(np.zeros((2, 2)), [(1,)])

@@ -13,7 +13,7 @@ from seqmodes.distribution import (
 )
 from seqmodes import sgld
 from seqmodes.cli import _sgld_config_from
-from seqmodes.model import SoftmaxModel, empirical_loss, fit_model, sample_dataset
+from seqmodes.model import SoftmaxModel, fit_model, population_loss, sample_dataset
 from seqmodes.modes import weighted_svd
 from seqmodes.sgld import (
     ChainDivergedError,
@@ -169,7 +169,7 @@ def naive_chain(model, dataset, w_star, cfg):
         eta = noise[row] * np.sqrt(cfg.epsilon)
         w = w + 0.5 * cfg.epsilon * (-cfg.n_beta * grad + cfg.gamma * (w_star - w)) + eta
         states.append(w)
-    losses = [empirical_loss(model, dataset, state) for state in states]
+    losses = [population_loss(model, dataset.empirical_joint(), state) for state in states]
     return np.array(states), np.array(losses)
 
 

@@ -334,6 +334,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     paired = np.flatnonzero(partner != np.arange(rows))  # the rows that record deltas
     caps = np.array([[np.inf if config.weight_norm_cap is None else config.weight_norm_cap]
                      for config in configs])
+    capped = bool(np.any(caps < np.inf))  # without a cap no row can violate one
     losses, distances, deltas = np.empty((rows, T)), np.empty((rows, T)), np.empty((rows, T))
     trail = np.empty((rows, len(range(0, T, stride)), d))
     violations = np.zeros(rows, dtype=int)
@@ -361,7 +362,7 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         losses[:, t0:t0 + k] = row_losses(chunk)
         offsets = chunk - centers[:, None]
         distances[:, t0:t0 + k] = np.linalg.norm(offsets, axis=2)
-        if t0 > 0:  # the norm cap skips the initial point
+        if t0 > 0 and capped:  # the norm cap skips the initial point
             norms = row_norms(offsets.reshape(-1, d)).reshape(rows, k)
             violations[:] += np.count_nonzero(norms > caps, axis=1)
         if paired.size:

@@ -6,11 +6,13 @@ distribution are provided: the raw orthogonal projection (generally signed and
 unnormalized), the clip-and-normalize surrogate, and the KL-closest member of
 the subspace that is also a genuine conditional distribution. The latter is
 one convex solve in reduced coordinates: a closed-form check of the column
-sums from the retained right vectors alone, a phase-I barrier solve for a
-strictly positive start, and damped Newton on the cross-entropy (Boyd &
-Vandenberghe, *Convex Optimization*, ch. 10–11). Whether the feasible set is
-empty is decided by a certificate, because for most operators it is empty
-unless the cutoff retains the direction of the square-root marginal.
+sums from the retained right vectors alone, a phase-I barrier solve that
+stops at its first strictly positive point, and damped Newton on the
+cross-entropy (Boyd & Vandenberghe, *Convex Optimization*, ch. 10–11).
+Whether the feasible set is empty is decided by a certificate, because for
+most operators it is empty unless the cutoff retains the direction of the
+square-root marginal; only that certificate needs phase I to reach a
+converged centre.
 """
 
 from __future__ import annotations
@@ -156,13 +158,15 @@ _GROWTH = 10.0  # factor on t between centrings
 _MAX_NEWTON = 100  # Newton steps one centring may take
 
 
-def _centre(A, b, c, w, u):
+def _centre(A, b, c, w, u, stop=None):
     """Damped Newton for min c·u − Σ w log(b + A u) from a point with b + A u > 0.
 
     Returns the minimiser, its slacks r = b + A u, the Newton steps taken and
     the final Newton decrement √(gᵀH⁻¹g), which is the gradient's size in the
     Hessian's dual norm. The slacks are carried along the steps rather than
-    recomputed, so entries near zero keep their relative accuracy.
+    recomputed, so entries near zero keep their relative accuracy. ``stop(u)``,
+    if given, ends the centring at the first step whose iterate satisfies it;
+    the decrement returned is then the one that step was taken with.
     """
     steps, decrement = 0, 0.0
     r = b + A @ u
@@ -182,15 +186,20 @@ def _centre(A, b, c, w, u):
                 return u, r, steps, decrement
         u, r = u + alpha * du, r + alpha * dr
         steps += 1
+        if stop is not None and stop(u):
+            break
     return u, r, steps, decrement
 
 
 def _phase_one(A: np.ndarray, F: np.ndarray, chi: int) -> tuple[np.ndarray, int]:
     """A strictly positive F + A z and the Newton steps spent finding it.
 
-    Maximises s subject to F + A z ≥ s by barrier continuation. At the centre
-    for barrier weight 1/t the largest achievable s is at most s + m/t, so a
-    negative bound at a converged centre certifies that no F + A z is
+    Maximises s subject to F + A z ≥ s by barrier continuation, and stops at
+    the first Newton step whose s is positive: any strictly feasible point
+    will do as phase II's start (Boyd & Vandenberghe, *Convex Optimization*,
+    §11.4.1). Only a certificate of infeasibility needs a converged centre: at
+    the centre for barrier weight 1/t the largest achievable s is at most
+    s + m/t, so a negative bound there certifies that no F + A z is
     nonnegative.
     """
     m = F.size
@@ -199,7 +208,8 @@ def _phase_one(A: np.ndarray, F: np.ndarray, chi: int) -> tuple[np.ndarray, int]
     u = np.append(np.zeros(A.shape[1]), F.min() - 1.0)
     steps, t = 0, float(m)
     while True:
-        u, slack, taken, decrement = _centre(A1, F, c, np.full(m, 1.0 / t), u)
+        u, slack, taken, decrement = _centre(A1, F, c, np.full(m, 1.0 / t), u,
+                                             stop=lambda v: v[-1] > 0)
         steps += taken
         margin, bound = float(u[-1]), float(u[-1] + m / t)
         if margin > 0:

@@ -861,11 +861,12 @@ class TestPipelineDeterminism:
             assert run1[name] == run2[name], name
 
 
-def _fresh_python(code: str, *args: str) -> str:
-    """The last line that ``python -c code args`` prints, run on this source tree."""
+def _fresh_python(code: str, *args: str, **env: str) -> str:
+    """The last line that ``python -c code args`` prints, run on this source tree
+    with the environment variables ``env`` added."""
     src = Path(cli.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+                         check=True, env={**os.environ, **env, "PYTHONPATH": str(src)})
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -917,3 +918,20 @@ class TestImportFootprint:
         code, loaded = json.loads(_fresh_python(_RUN_CLI, *argv, "--out", str(tmp_path / "d")))
         assert code == 0
         assert "scipy.sparse.linalg" in loaded
+
+
+def test_kl_truncation_is_stable_at_each_blas_thread_count(tmp_path):
+    # the README's contract: the same bytes at the same BLAS thread count
+    path = tmp_path / "language.json"
+    path.write_text(language_to_json(random_doubly_stochastic_language(5, 20)))
+    argv = ["truncate", "--language", str(path), "--k", "1", "--l", "1", "--chi", "8",
+            "--solver", "kl"]
+    for threads in ("1", "2"):
+        runs = []
+        for run in range(2):
+            out = tmp_path / f"t{threads}_{run}"
+            code, _ = json.loads(_fresh_python(_RUN_CLI, *argv, "--out", str(out),
+                                               OPENBLAS_NUM_THREADS=threads))
+            assert code == 0
+            runs.append((out / "effective.tsv").read_bytes())
+        assert runs[0] == runs[1], threads

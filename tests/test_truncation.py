@@ -256,6 +256,13 @@ class TestCertifiedSolve:
         assert eff.provenance["kkt_residual"] < 1e-6
         np.testing.assert_allclose(eff.conditional.sum(axis=0), 1.0, atol=1e-12)
 
+    def test_phase_one_stops_at_first_positive_point(self):
+        # 19 Newton steps here; 35 when phase I also converged the centre it was in
+        eff = truncate_kl(dec_11(random_doubly_stochastic_language(3, 12)), 10)
+        assert eff.provenance["iterations"] <= 24
+        assert np.all(eff.conditional > 0)
+        assert eff.provenance["converged"]
+
     def test_phase_one_certificate(self):
         with pytest.raises(InfeasibleTruncationError) as err:
             truncate_kl(hand_decomposition([2.0, -1.0, 0.0]), 0)

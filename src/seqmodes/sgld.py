@@ -3,15 +3,14 @@
 The update is w += (ε/2)[−βn ∇L_m(w) + γ(w* − w)] + η with η drawn per
 coordinate from N(0, ε), for one constant step size ε per chain
 (:class:`SGLDConfig`; the CLI's ``--preset paper`` is its nβ = 10, γ = 300,
-T = 100, ε = 1e-4 case). A chain runs on a target: anything with a dataset
-size ``n``, a dimension ``dim``, batched full-data losses and gradients over a
-(B, dim) stack of states, and a sampler of minibatch joints
-(:class:`SoftmaxTarget`, :class:`QuadraticTarget`). A minibatch of m uniform
-draws with replacement enters the gradient only through its (n_y, n_x) count
-table, which is Multinomial(m, N/n) for the dataset's count table N, so the
-sampler draws that table directly. A target may instead name the ``model``
-whose one gradient kernel gives its gradient on its joints, with its full-data
-joint in ``joint``, as a :class:`SoftmaxTarget` does.
+T = 100, ε = 1e-4 case). A chain runs on a target of one of two kinds, each
+with a dataset size ``n``, a dimension ``dim`` and batched full-data losses
+over a (B, dim) stack of states. One without a model (:class:`QuadraticTarget`)
+gives its full-data gradient. A :class:`SoftmaxTarget` names the ``model``
+whose one gradient kernel gives its gradient on its joints, holds its
+full-data ``joint`` and samples minibatch joints: m uniform draws with
+replacement enter the gradient only through their (n_y, n_x) count table,
+Multinomial(m, N/n) for the dataset's count table N, which the sampler draws.
 
 One engine, :func:`run_chains`, advances every chain: the rows of a (C, d)
 state array move in lockstep, one step at a time, each localized at its own
@@ -19,13 +18,14 @@ centre w*. Row c draws its noise and its minibatch tables from counter-based
 streams keyed by (seed_c, tag, block), one block per ``STEP_BLOCK`` steps, so
 each row is reproducible on its own and two rows configured with the same
 seed share their randomness by construction. Rows whose targets share a model
-take one gradient call per step, on the stack of their rows' joints, however
-many datasets they hold. Each chunk of steps is reduced as it runs, to
-full-data losses, distances to w*, gaps to the first row of the same seed and
-a sparse trail of states, so the LLC estimate λ̂ = nβ·(mean L_n(w_t) −
-L_n(w*)) reads the trace alone and no array grows with T·d. Coupled chains
-are two rows that share a seed and a centre, each on its own dataset;
-:func:`coupled_bound_trials` runs the pairs of many seeds in one engine call.
+are one call, with one gradient call per step on the stack of their joints,
+however many datasets they hold; a target without a model is a call of its
+own. Each chunk of steps is reduced as it runs, to full-data losses, distances
+to w*, gaps to the first row of the same seed and a sparse trail of states, so
+the LLC estimate λ̂ = nβ·(mean L_n(w_t) − L_n(w*)) reads the trace alone and
+no array grows with T·d. Coupled chains are two rows that share a seed and a
+centre, each on its own dataset; :func:`coupled_bound_trials` runs the pairs
+of many seeds in one engine call.
 
 Also here: the trajectory-divergence bound g(t, A), one function over an
 array of steps, with its hyperparameter window; the estimator-difference
@@ -120,12 +120,11 @@ class SGLDConfig:
 
 
 # ---------------------------------------------------------------------------
-# Sampling targets: anything with a dataset size, a dimension, batched
-# full-data losses over a (B, dim) stack of states, a sampler of minibatch
-# joints with the numbers one draw holds (``draw_entries``), and either
-# ``grad(W, joints)``, ∇L on each row's joint (all data if None), or a ``model``
-# and full-data ``joint``: the gradient is then the model's kernel on the
-# joints, and the loss ``joint_losses(joint_support(joint), model.log_conditionals(W))``.
+# Sampling targets, each with a dataset size ``n``, a dimension ``dim`` and full-data losses
+# ``loss(W)`` over a (B, dim) stack of states, of two kinds: one without a model gives its
+# full-data gradient ``grad(W)``; one with a ``model`` holds its full-data ``joint`` and
+# samples minibatch joints (``minibatches``; ``draw_entries`` numbers a draw), on which the
+# model's gradient kernel and ``log_conditionals`` give its gradient and its loss.
 # ---------------------------------------------------------------------------
 
 class SoftmaxTarget:
@@ -185,15 +184,8 @@ class QuadraticTarget:
     def loss(self, W: np.ndarray) -> np.ndarray:
         return 0.5 * np.sum(self.curvature * np.asarray(W) ** 2, axis=-1)
 
-    def grad(self, W: np.ndarray, coeff) -> np.ndarray:
+    def grad(self, W: np.ndarray) -> np.ndarray:
         return self.curvature * W
-
-    def minibatches(self, rngs, m: int, size: int) -> None:
-        """Exact gradients: nothing to draw."""
-        return None
-
-    def draw_entries(self, m: int) -> int:
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +260,16 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     centres). All rows share T, n and m. Row c takes its step-t noise and
     minibatch joint from row (t − 1) % STEP_BLOCK of the draws keyed by
     (seed_c, tag, (t − 1) // STEP_BLOCK); rows with equal seeds draw the noise
-    once. Steps run in chunks whose noise, draws and states hold about
-    ``CHUNK_ENTRIES`` numbers (draws made chunk by chunk give the bits of one
-    draw), in one step loop: a gradient call per distinct target, except that
-    rows whose targets share a ``model`` take one ``grads_into`` call on their
-    joints, transposed and summed once a chunk, and :func:`sgld_step` writes
-    into the chunk; buffers are allocated once a call. Each chunk is reduced
-    to the trace (see :class:`ChainTrace`) before the next runs. Losses take
-    one call per distinct target, except that rows whose targets share a
-    ``model`` take one ``log_conditionals`` call, reduced over each target's
-    support (found once a call); the norm-cap count skips the initial point.
+    once. A call is the rows of all targets that share a ``model``, or of one
+    target without one: the former takes one ``grads_into`` call a step on the
+    stack of its rows' joints, transposed and summed once a run at full batch
+    and once a chunk otherwise, and one ``log_conditionals`` call for its
+    losses, reduced over each target's support (found once a run); the latter,
+    full-data ``grad`` and ``loss`` calls. Steps run in chunks whose noise,
+    draws and states hold about ``CHUNK_ENTRIES`` numbers (draws made chunk by
+    chunk give the bits of one draw); buffers are allocated once a call. Each
+    chunk is reduced to the trace (see :class:`ChainTrace`) before the next
+    runs; the norm-cap count skips the initial point.
     """
     targets, configs = list(targets), list(configs)
     if not targets or len(configs) != len(targets):
@@ -300,34 +292,24 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
                           for name in ("epsilon", "n_beta", "gamma"))
     seeds, first_row, seed_of_row = np.unique([config.seed for config in configs],
                                               return_index=True, return_inverse=True)
-    by_target: dict[int, tuple[object, list[int]]] = {}
+    grouped: dict[int, dict] = {}  # one call per model and per target without one
     for c, target in enumerate(targets):
-        by_target.setdefault(id(target), (target, []))[1].append(c)
-    # per distinct target: (target, its rows, their minibatch seeds; none at full batch)
-    streams = [(target, members, [configs[c].seed for c in members] if m < n else [])
-               for target, members in by_target.values()]
-    # per gradient and loss call: (a target, its rows, the streams it stacks with the
-    # positions of their rows in it, the full-data stack); None stacks mean one
-    # target, whose coefficients are its own; contiguous rows take a view
-    by_model: dict[int, list[int]] = {}
-    for i, (target, _, _) in enumerate(streams):
-        by_model.setdefault(id(getattr(target, "model", target)), []).append(i)
-    calls = []
-    for shared in by_model.values():
-        members = sorted(c for i in shared for c in streams[i][1])
-        parts = [(i, np.searchsorted(members, streams[i][1])) for i in shared]
-        full = np.stack([targets[c].joint for c in members]) if len(shared) > 1 else None
-        contiguous = members[-1] + 1 - members[0] == len(members)
-        own = slice(members[0], members[-1] + 1) if contiguous else np.array(members)
-        calls.append((streams[shared[0]][0], own, parts, full))
+        parts = grouped.setdefault(id(getattr(target, "model", target)), {})
+        parts.setdefault(id(target), (target, []))[1].append(c)
+    calls = []  # (the model or None, the rows, a view when contiguous, and per target
+    for parts in grouped.values():  # (target, its rows, their positions in the call, support)
+        call_rows = sorted(c for _, members in parts.values() for c in members)
+        lo, hi = call_rows[0], call_rows[-1] + 1
+        own = slice(lo, hi) if hi - lo == len(call_rows) else np.array(call_rows)
+        model = getattr(next(iter(parts.values()))[0], "model", None)
+        calls.append((model, own, [(t, members, np.searchsorted(call_rows, members),
+                                    None if model is None else joint_support(t.joint))
+                                   for t, members in parts.values()]))
     width = (seeds.size + 2 * rows) * d  # a step's noise, its scaled rows and its states
-    width += sum(len(bs) * target.draw_entries(m) for target, _, bs in streams if bs)
-    if m < n:  # stacked draws, and the transposed joints and their sums of a model's kernel
-        width += sum(full.size for _, _, _, full in calls if full is not None)
-        width += sum(2 * len(bs) * t.joint.size for t, _, bs in streams if hasattr(t, "model"))
+    if m < n:  # a model's stacked draws, each target's draws, and their transposes and sums
+        width += sum(len(members) * (3 * t.joint.size + t.draw_entries(m)) for model, _, parts
+                     in calls if model is not None for t, members, _, _ in parts)
     chunk_steps = max(1, min(STEP_BLOCK, CHUNK_ENTRIES // width))
-    supports = [joint_support(target.joint) if hasattr(target, "model") else None
-                for target, _, _ in streams]  # each target's, for its losses
 
     stride = max(1, T // 64)
     partner = first_row[seed_of_row]  # each row's first row of its seed
@@ -343,17 +325,14 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         """L_n(w) of each row's target at its (rows, k, d) states, as (rows, k)."""
         k = states.shape[1]
         out = np.empty((rows, k))
-        for target, own, parts, _ in calls:
-            if not hasattr(target, "model"):  # one target, with its own loss
-                members = streams[parts[0][0]][1]
-                flat = states[members].reshape(-1, d)
-                out[members] = target.loss(flat).reshape(len(members), k)
+        for model, own, parts in calls:
+            if model is None:  # one target, with its own loss
+                out[own] = parts[0][0].loss(states[own].reshape(-1, d)).reshape(-1, k)
                 continue
-            logp = target.model.log_conditionals(states[own].reshape(-1, d))
-            logp = logp.reshape((-1, k) + logp.shape[1:])  # (rows of the model, k, n_y, n_x)
-            for i, positions in parts:
-                source, members, _ = streams[i]
-                out[members] = joint_losses(supports[i], logp[positions])
+            logp = model.log_conditionals(states[own].reshape(-1, d))
+            logp = logp.reshape((-1, k) + logp.shape[1:])  # (rows of the call, k, n_y, n_x)
+            for _, members, positions, support in parts:
+                out[members] = joint_losses(support, logp[positions])
         return out
 
     def record(t0: int, chunk: np.ndarray) -> None:
@@ -374,26 +353,30 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
     grad, draws = np.empty((rows, d)), np.empty((seeds.size, chunk_steps, d))
     eta, chunk = np.empty((2, chunk_steps, rows, d))  # each step's scaled noise, and its states
 
-    def gradient(target, own, parts, full):
-        """A call's gradient: given a chunk's draws, the function of (w, j) that
-        writes −∇L_m of the call's rows at step j of the chunk into ``grad``."""
-        model = getattr(target, "model", None)
-        scatter = model is not None and not isinstance(own, slice)  # rows apart: a buffer
-        out = np.empty((len(own), d)) if scatter else grad[own]
+    def gradient(model, own, parts):
+        """A call's gradient: given a chunk's length k and a minibatch generator a row (None
+        at full batch), the function of (w, j) writing its rows' −∇L_m at step j into ``grad``."""
+        if model is None:  # one target, with full-data gradients
+            target = parts[0][0]
 
-        def for_chunk(drawn, k):
-            coeff = drawn[parts[0][0]]  # a lone target's (k, rows, n_y, n_x) joints, or None
-            if model is None:
-                def step(w, j):
-                    grad[own] = -target.grad(w[own], None if coeff is None else coeff[j])
-                return step
-            if m < n and full is not None:
-                coeff = np.empty((k,) + full.shape)
-                for i, positions in parts:
-                    coeff[:, positions] = drawn[i]
-            c, sums = grad_coefficients(coeff if m < n else target.joint if full is None else full)
-            if m == n:  # the same joints at every step
-                c, sums = (np.broadcast_to(a, (k,) + a.shape) for a in (c, sums))
+            def full_data(w, j):
+                grad[own] = -target.grad(w[own])
+            return lambda k, batch: full_data
+        scatter = not isinstance(own, slice)  # rows apart: a buffer
+        out = np.empty((len(own), d)) if scatter else grad[own]
+        # the call's (k, rows, n_y, n_x) joints: a chunk's draws, or the full-data ones once
+        joints = np.empty((chunk_steps if m < n else 1, len(out)) + parts[0][0].joint.shape)
+        if m == n:  # the same joints at every step
+            for target, _, positions, _ in parts:
+                joints[0, positions] = target.joint
+            full = [np.broadcast_to(a, (chunk_steps,) + a.shape[1:])
+                    for a in grad_coefficients(joints)]
+
+        def for_chunk(k, batch):
+            if batch is not None:
+                for target, members, positions, _ in parts:
+                    joints[:k, positions] = target.minibatches([batch[c] for c in members], m, k)
+            c, sums = full if batch is None else grad_coefficients(joints[:k])
 
             def step(w, j):
                 model.grads_into(w[own], c[j], sums[j], out)
@@ -409,18 +392,15 @@ def run_chains(targets, w_star: np.ndarray, configs, init: np.ndarray | None = N
         for start in range(1, T, STEP_BLOCK):
             block = (start - 1) // STEP_BLOCK
             noise = [keyed_generator(seed, NOISE_TAG, block) for seed in seeds]
-            batch = [[keyed_generator(seed, BATCH_TAG, block) for seed in bs]
-                     for _, _, bs in streams]
+            batch = ([keyed_generator(config.seed, BATCH_TAG, block) for config in configs]
+                     if m < n else None)
             for t0 in range(start, min(start + STEP_BLOCK, T), chunk_steps):
                 k = min(chunk_steps, start + STEP_BLOCK - t0, T - t0)
                 for rng, out in zip(noise, draws):
                     rng.standard_normal(out=out[:k])
                 np.multiply(draws[seed_of_row, :k], sqrt_eps[:, :, None],
                             out=eta[:k].swapaxes(0, 1))
-                drawn = []  # per stream: (k, its rows, n_y, n_x) joints, or None
-                for (target, _, _), rngs in zip(streams, batch):
-                    drawn.append(target.minibatches(rngs, m, k) if rngs else None)
-                steps = [for_chunk(drawn, k) for for_chunk in gradients]
+                steps = [for_chunk(k, batch) for for_chunk in gradients]
                 before = w
                 for j in range(k):
                     for step in steps:

@@ -132,7 +132,7 @@ class TestRunChain:
             def loss(self, W):
                 return W[:, 0] ** 2
 
-            def grad(self, W, idx):
+            def grad(self, W):
                 return -np.array([1e308]) * np.sign(W + 0.1)
 
         cfg = SGLDConfig(n=10, beta=1.0, gamma=1.0, m=10, T=10, epsilon=1.0)
@@ -308,7 +308,7 @@ class TestRunChains:
             def loss(self, W):
                 return W[:, 0] ** 2
 
-            def grad(self, W, idx):
+            def grad(self, W):
                 return -1e3 * W
 
         stable = QuadraticTarget(np.array([1.0]), n=10)
@@ -343,7 +343,7 @@ class TestRunChains:
             def loss(self, W):
                 return W[:, 0] ** 2
 
-            def grad(self, W, joints):
+            def grad(self, W):
                 self.calls += 1
                 return np.full(W.shape, np.inf) if self.calls == self.burst else W
 
@@ -431,6 +431,63 @@ class TestRunChains:
             assert len(trace.states) == trace.T  # a stride of 1 keeps every state
             np.testing.assert_array_equal(trace.losses, target.loss(trace.states))
             assert trace.reference_loss == target.loss(w_star[None])[0]
+
+    @pytest.mark.parametrize("m", [300, 32])
+    def test_one_call_per_step_and_per_chunk_for_a_lone_target(self, monkeypatch, m):
+        # three rows of one target are one stack: one grads_into call a step, and one
+        # log_conditionals call each for the initial point, the 39 gradients, the one
+        # 39-step chunk and the centres, reduced to the bits of the target's own loss
+        model, dataset, w_star = self.setup("low_rank")
+        target = SoftmaxTarget(model, dataset)
+        grads, logps = [], []
+        grads_into, log_conditionals = SoftmaxModel.grads_into, SoftmaxModel.log_conditionals
+        monkeypatch.setattr(SoftmaxModel, "grads_into", lambda self, W, *args:
+                            grads.append(len(W)) or grads_into(self, W, *args))
+        monkeypatch.setattr(SoftmaxModel, "log_conditionals",
+                            lambda self, W: logps.append(len(W)) or log_conditionals(self, W))
+        configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=40, epsilon=1e-3, seed=s)
+                   for s in range(3)]
+        traces = run_chains([target] * 3, w_star, configs)
+        assert grads == [3] * 39
+        assert logps == [3] + [3] * 39 + [3 * 39, 3]
+        monkeypatch.undo()
+        for trace in traces:
+            np.testing.assert_array_equal(trace.losses, target.loss(trace.states))
+            assert trace.reference_loss == target.loss(w_star[None])[0]
+
+    def test_target_without_a_model_draws_nothing(self):
+        # a target with only n, dim, loss(W) and grad(W) takes full-data gradients at
+        # every m, next to a model's minibatch rows: its chains are those of the full
+        # batch, and those of a QuadraticTarget of its curvature
+        class Bare:
+            n = 300
+
+            def __init__(self, curvature):
+                self.curvature, self.dim = curvature, curvature.size
+
+            def loss(self, W):
+                return 0.5 * np.sum(self.curvature * W ** 2, axis=-1)
+
+            def grad(self, W):
+                return self.curvature * W
+
+        model, dataset, _ = self.setup("full_table")
+        softmax, curvature = SoftmaxTarget(model, dataset), np.linspace(1.0, 3.0, model.dim)
+        bare, quadratic = Bare(curvature), QuadraticTarget(curvature, n=300)
+        centres, init = np.random.default_rng(5).standard_normal((2, 3, model.dim))
+
+        def run(targets, m):  # T = 300 ends inside the second block
+            configs = [SGLDConfig(n=300, beta=0.05, gamma=2.0, m=m, T=300, epsilon=1e-3,
+                                  seed=s) for s in (0, 1, 2)]
+            return run_chains(targets, centres, configs, init)
+
+        minibatch = run([bare, softmax, bare], 32)
+        for reference in (run([bare, softmax, bare], 300), run([quadratic, softmax, quadratic], 32)):
+            for c in (0, 2):
+                for name in ("states", "losses", "distances"):
+                    np.testing.assert_array_equal(getattr(minibatch[c], name),
+                                                  getattr(reference[c], name))
+        assert np.all(minibatch[0].distances[1:] != minibatch[0].distances[0])
 
     def test_memory_does_not_grow_with_T(self):
         # a trace keeps per-step scalars and a trail of at most 128 states, so
